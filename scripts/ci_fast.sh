@@ -22,13 +22,14 @@
 #      micro-bench in smoke mode, failing on a >5% warm-path wall
 #      regression against the ratio recorded in benchmarks/BENCH_store.json
 #      (run `pytest benchmarks/bench_store.py` to (re)record it);
-#   6. `vector_smoke.py` — the 4x macro under the scalar fast path vs the
+#   6. `vector_smoke.py` — the 4x macro under the scalar path vs the
 #      REPRO_VECTOR numpy kernel: cross-domain workload counts within
 #      tolerance and vector run-to-run determinism. Exits 0 with a notice
 #      when numpy ([vector] extra) is not installed.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
-# `pytest benchmarks -q`.
+# `pytest benchmarks/bench_*.py -q` (bench files do not match pytest's
+# default `test_*` pattern, so a bare `pytest benchmarks` collects nothing).
 
 set -e
 

@@ -33,20 +33,13 @@ is blown:
    taxing queries it has nothing to adapt. Same interleaved best-of
    measurement; the result is appended to ``benchmarks/BENCH_adaptive.json``
    under ``ci_check``;
-5. the scale-out sort path's graph_order wall-clock regresses more than 5%
-   against the speedup ratio recorded in ``benchmarks/BENCH_sort.json``
-   (written by ``benchmarks/bench_sort_scale.py``) — the indexed graph /
-   incremental-SCC machinery stopped paying for itself on the planted-cycle
-   workload. Ratios (scale vs. ``REPRO_SORTSCALE=0``, same process) keep
-   the guard machine-independent; the measurement is appended to
-   ``BENCH_sort.json`` under ``ci_check``;
-6. the resilience layer's fault-free macro wall-clock exceeds the
+5. the resilience layer's fault-free macro wall-clock exceeds the
    ``REPRO_RESILIENCE=0`` baseline's by more than 5% — the retry/repost
    machinery is gated off entirely on marketplaces without a fault plan,
    so any measurable overhead means the gate leaked onto the dispatch
    path. Same interleaved best-of measurement; the result is appended to
    ``benchmarks/BENCH_resilience.json`` under ``ci_check``;
-7. the persistent answer store's warm/cold wall ratio regresses more than
+6. the persistent answer store's warm/cold wall ratio regresses more than
    5% against the one recorded in ``benchmarks/BENCH_store.json`` (written
    by ``benchmarks/bench_store.py``) — the warm run is pure store-read
    path (SQLite fetch, JSON decode, memory-layer promotion), so a rising
@@ -55,7 +48,7 @@ is blown:
    ``repro.experiments.store_workload.measure_cold_warm`` smoke (best-of
    CPU, GC paused, fresh store file per repeat) and appended to
    ``BENCH_store.json`` under ``ci_check``;
-8. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar fast
+7. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar
    path on the 4x macro regresses more than 5% over the ratio recorded in
    ``benchmarks/BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``,
    written by ``benchmarks/bench_perf_hotpath.py``) — the numpy batch
@@ -64,7 +57,7 @@ is blown:
    recorded; otherwise measured interleaved best-of and appended to
    ``BENCH_perf_hotpath.json`` under ``ci_check``.
 
-``--check-store`` runs only check 7 (no profiling, no macro sweeps) — the
+``--check-store`` runs only check 6 (no profiling, no macro sweeps) — the
 fast lane ``scripts/ci_fast.sh`` uses it alongside the ``-m "not slow"``
 pytest suite for a minutes-not-hours smoke signal.
 """
@@ -90,24 +83,20 @@ from repro.joins.batching import JoinInterface
 from repro.util import adapt
 from repro.util import pipeline
 from repro.util import resilience
-from repro.util import sortscale
 
 CHECK_TOP_N = 5
 FORBIDDEN_IN_TOP = ("child_seed", "payload_cache_key")
 PIPELINE_OVERHEAD_LIMIT = 1.05
 SESSION_REGRESSION_LIMIT = 1.05
 ADAPTIVE_OVERHEAD_LIMIT = 1.05
-SORT_SCALE_REGRESSION_LIMIT = 1.05
 RESILIENCE_OVERHEAD_LIMIT = 1.05
 STORE_WARM_REGRESSION_LIMIT = 1.05
 VECTOR_RATIO_REGRESSION_LIMIT = 1.05
 SESSION_QUERY_COUNT = 8
-SORT_SCALE_CHECK_ITEMS = 200
 VECTOR_CHECK_SCALE = 4
 BENCH_PIPELINE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_pipeline.json"
 BENCH_SESSION_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_session.json"
 BENCH_ADAPTIVE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_adaptive.json"
-BENCH_SORT_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_sort.json"
 BENCH_RESILIENCE_PATH = (
     Path(__file__).parent.parent / "benchmarks" / "BENCH_resilience.json"
 )
@@ -363,73 +352,6 @@ def check_session_throughput(seed: int, repeats: int) -> dict | None:
     return report
 
 
-def check_sort_scale(seed: int, repeats: int) -> dict | None:
-    """Measure graph_order's scale/reference wall ratio vs. the recording.
-
-    Runs the planted-cycle sort workload at ``SORT_SCALE_CHECK_ITEMS``
-    items under both ``REPRO_SORTSCALE`` modes in-process (interleaved
-    best-of CPU time, GC paused) and compares the scale/reference ratio
-    against the one implied by ``BENCH_sort.json``'s recorded speedup; CI
-    fails when the fresh ratio exceeds the recorded one by more than
-    ``SORT_SCALE_REGRESSION_LIMIT``. Returns None (with a warning) when no
-    baseline has been recorded.
-    """
-    from repro.experiments.sort_workload import comparison_corpus
-    from repro.sorting.graph import graph_order
-
-    if not BENCH_SORT_PATH.exists():
-        print(
-            "warning: benchmarks/BENCH_sort.json missing — run "
-            "`pytest benchmarks/bench_sort_scale.py` to record the sort "
-            "baseline; skipping the sort-scale check.",
-            file=sys.stderr,
-        )
-        return None
-    recorded = json.loads(BENCH_SORT_PATH.read_text())
-    try:
-        recorded_speedup = recorded["graph_order"][str(SORT_SCALE_CHECK_ITEMS)][
-            "wall_speedup"
-        ]
-    except KeyError:
-        print(
-            f"warning: BENCH_sort.json has no {SORT_SCALE_CHECK_ITEMS}-item "
-            "graph_order speedup — re-run the sort benchmark; skipping the "
-            "check.",
-            file=sys.stderr,
-        )
-        return None
-
-    items, corpus = comparison_corpus(SORT_SCALE_CHECK_ITEMS, seed=seed)
-    graph_order(items, corpus)  # untimed warm-up
-
-    def mode(flag: bool):
-        def thunk() -> None:
-            with sortscale.forced(flag):
-                graph_order(items, corpus)
-
-        return thunk
-
-    timings = _interleaved_best_of(
-        [("reference", mode(False)), ("scale", mode(True))], repeats
-    )
-    ratio = (
-        timings["scale"] / timings["reference"]
-        if timings["reference"] > 0
-        else 0.0
-    )
-    report = {
-        "items": SORT_SCALE_CHECK_ITEMS,
-        "repeats": repeats,
-        "reference_seconds": round(timings["reference"], 4),
-        "scale_seconds": round(timings["scale"], 4),
-        "wall_ratio": round(ratio, 4),
-        "recorded_wall_ratio": round(1.0 / max(recorded_speedup, 1e-9), 4),
-        "limit": SORT_SCALE_REGRESSION_LIMIT,
-    }
-    _append_ci_check(BENCH_SORT_PATH, report)
-    return report
-
-
 def check_store_warm_path(seed: int, repeats: int) -> dict | None:
     """Measure the restart pair's warm/cold wall ratio vs. the recording.
 
@@ -475,11 +397,11 @@ def check_store_warm_path(seed: int, repeats: int) -> dict | None:
 
 
 def check_vector_ratio(seed: int, repeats: int) -> dict | None:
-    """Measure the vector/fast macro wall ratio vs. the recording.
+    """Measure the vector/scalar macro wall ratio vs. the recording.
 
-    Runs the 4x macro workload with the scalar fast path and with
+    Runs the 4x macro workload with the scalar path and with
     ``REPRO_VECTOR`` forced on (interleaved best-of CPU time, GC paused)
-    and compares the vector/fast ratio against the one recorded in
+    and compares the vector/scalar ratio against the one recorded in
     ``BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``); CI fails
     when the fresh ratio exceeds the recorded one by more than
     ``VECTOR_RATIO_REGRESSION_LIMIT``. Returns None (with a warning) when
@@ -524,13 +446,13 @@ def check_vector_ratio(seed: int, repeats: int) -> dict | None:
         return thunk
 
     timings = _interleaved_best_of(
-        [("fast", mode(False)), ("vector", mode(True))], repeats
+        [("scalar", mode(False)), ("vector", mode(True))], repeats
     )
-    ratio = timings["vector"] / timings["fast"] if timings["fast"] > 0 else 0.0
+    ratio = timings["vector"] / timings["scalar"] if timings["scalar"] > 0 else 0.0
     report = {
         "scale": VECTOR_CHECK_SCALE,
         "repeats": repeats,
-        "fast_seconds": round(timings["fast"], 4),
+        "scalar_seconds": round(timings["scalar"], 4),
         "vector_seconds": round(timings["vector"], 4),
         "wall_ratio": round(ratio, 4),
         "recorded_wall_ratio": baseline,
@@ -698,27 +620,6 @@ def main() -> int:
             f"{resilience_report['wall_overhead']:.3f}x the disabled baseline "
             f"(limit {RESILIENCE_OVERHEAD_LIMIT}x)"
         )
-        sort_report = check_sort_scale(args.seed, args.check_repeats)
-        if sort_report is not None:
-            allowed = (
-                sort_report["recorded_wall_ratio"] * SORT_SCALE_REGRESSION_LIMIT
-            )
-            if sort_report["wall_ratio"] > allowed:
-                print(
-                    "CHECK FAILED: scale-out graph_order wall-clock is "
-                    f"{sort_report['wall_ratio']:.3f}x the reference path, "
-                    f"above the recorded {sort_report['recorded_wall_ratio']:.3f}x "
-                    f"+ {SORT_SCALE_REGRESSION_LIMIT - 1:.0%} headroom: "
-                    f"{sort_report}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                "check ok: scale-out graph_order wall-clock is "
-                f"{sort_report['wall_ratio']:.3f}x the reference path "
-                f"(recorded {sort_report['recorded_wall_ratio']:.3f}x, "
-                f"headroom {SORT_SCALE_REGRESSION_LIMIT - 1:.0%})"
-            )
         session_report = check_session_throughput(args.seed, args.check_repeats)
         if session_report is not None:
             allowed = (
@@ -751,7 +652,7 @@ def main() -> int:
             if vector_report["wall_ratio"] > allowed:
                 print(
                     "CHECK FAILED: vector dispatch wall-clock is "
-                    f"{vector_report['wall_ratio']:.3f}x the scalar fast "
+                    f"{vector_report['wall_ratio']:.3f}x the scalar "
                     f"path, above the recorded "
                     f"{vector_report['recorded_wall_ratio']:.3f}x + "
                     f"{VECTOR_RATIO_REGRESSION_LIMIT - 1:.0%} headroom: "
@@ -761,7 +662,7 @@ def main() -> int:
                 return 1
             print(
                 "check ok: vector dispatch wall-clock is "
-                f"{vector_report['wall_ratio']:.3f}x the scalar fast path "
+                f"{vector_report['wall_ratio']:.3f}x the scalar path "
                 f"(recorded {vector_report['recorded_wall_ratio']:.3f}x, "
                 f"headroom {VECTOR_RATIO_REGRESSION_LIMIT - 1:.0%})"
             )

@@ -9,12 +9,14 @@ Usage::
 
     PYTHONPATH=src python scripts/regen_golden_trace.py            # scalar golden
     PYTHONPATH=src python scripts/regen_golden_trace.py --vector   # vector golden
+    PYTHONPATH=src python scripts/regen_golden_trace.py --pins     # pinned digests
 
 ``--vector`` regenerates the *second* determinism domain's golden
 (``tests/golden/determinism_trace_vector.json``), captured with the
 ``REPRO_VECTOR`` numpy kernel forced on. It requires numpy (the
 ``[vector]`` extra) and never touches the scalar golden — the two domains
-break independently.
+break independently. ``--pins`` rewrites ``tests/golden/trace_pins.json``,
+the digests of the extra fixed-seed runs listed in ``tests/trace_pins.py``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,25 @@ def require_lint_clean() -> None:
         raise SystemExit(1)
 
 
+def write_pins() -> None:
+    from test_determinism_trace import plan_trace
+    from test_marketplace import pinned_dispatch_trace
+    from test_resilience import pinned_fault_ticket_trace
+    from trace_pins import PINS_PATH, trace_digest
+
+    traces = {
+        "unoptimized_seed0": lambda: plan_trace("unoptimized", 0),
+        "unoptimized_seed7": lambda: plan_trace("unoptimized", 7),
+        "optimized_seed7": lambda: plan_trace("optimized", 7),
+        "dispatch_seed15": pinned_dispatch_trace,
+        "fault_ticket_seed7": pinned_fault_ticket_trace,
+    }
+    pins = {name: trace_digest(build()) for name, build in traces.items()}
+    PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    for name, digest in pins.items():
+        print(f"{name}: {digest}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -70,8 +91,16 @@ def main() -> None:
         action="store_true",
         help="regenerate the REPRO_VECTOR domain's golden instead of the scalar one",
     )
+    parser.add_argument(
+        "--pins",
+        action="store_true",
+        help="regenerate the pinned digests in tests/golden/trace_pins.json",
+    )
     options = parser.parse_args()
     require_lint_clean()
+    if options.pins:
+        write_pins()
+        return
     if options.vector:
         from repro.util import vector
 

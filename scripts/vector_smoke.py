@@ -1,6 +1,6 @@
 """Fast-lane smoke for the REPRO_VECTOR dispatch kernel.
 
-Runs the optimized Table 5 macro at 4x scale under the scalar fast path
+Runs the optimized Table 5 macro at 4x scale under the scalar path
 and under the numpy batch kernel, and checks the cross-domain workload
 contract that the full panels pin more thoroughly elsewhere:
 
@@ -31,7 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.util import fastpath  # noqa: E402
 from repro.util import vector as vector_toggle  # noqa: E402
 
 SMOKE_SCALE = 4
@@ -53,16 +52,15 @@ def main() -> int:
 
     counts: dict[str, tuple[int, int]] = {}
     timings: dict[str, float] = {}
-    with fastpath.forced(True):
-        for label, vector_on in (("fast", False), ("vector", True)):
-            with vector_toggle.forced(vector_on):
-                start = time.perf_counter()
-                counts[label] = _run_table5_variant(
-                    SMOKE_SCALE, "optimized", seed=args.seed
-                )
-                timings[label] = time.perf_counter() - start
-        with vector_toggle.forced(True):
-            repeat = _run_table5_variant(SMOKE_SCALE, "optimized", seed=args.seed)
+    for label, vector_on in (("scalar", False), ("vector", True)):
+        with vector_toggle.forced(vector_on):
+            start = time.perf_counter()
+            counts[label] = _run_table5_variant(
+                SMOKE_SCALE, "optimized", seed=args.seed
+            )
+            timings[label] = time.perf_counter() - start
+    with vector_toggle.forced(True):
+        repeat = _run_table5_variant(SMOKE_SCALE, "optimized", seed=args.seed)
 
     if repeat != counts["vector"]:
         print(
@@ -71,22 +69,22 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    for fast_count, vector_count in zip(counts["fast"], counts["vector"]):
-        if abs(vector_count - fast_count) > max(
-            2, VECTOR_COUNT_TOLERANCE * fast_count
+    for scalar_count, vector_count in zip(counts["scalar"], counts["vector"]):
+        if abs(vector_count - scalar_count) > max(
+            2, VECTOR_COUNT_TOLERANCE * scalar_count
         ):
             print(
                 "VECTOR SMOKE FAILED: vector workload diverges from the "
-                f"scalar fast path at {SMOKE_SCALE}x beyond "
-                f"{VECTOR_COUNT_TOLERANCE:.0%}: fast={counts['fast']} "
+                f"scalar path at {SMOKE_SCALE}x beyond "
+                f"{VECTOR_COUNT_TOLERANCE:.0%}: scalar={counts['scalar']} "
                 f"vector={counts['vector']}",
                 file=sys.stderr,
             )
             return 1
     print(
         f"vector smoke OK at {SMOKE_SCALE}x: "
-        f"fast=({counts['fast'][0]} hits, {counts['fast'][1]} asn, "
-        f"{timings['fast']:.2f}s) "
+        f"scalar=({counts['scalar'][0]} hits, {counts['scalar'][1]} asn, "
+        f"{timings['scalar']:.2f}s) "
         f"vector=({counts['vector'][0]} hits, {counts['vector'][1]} asn, "
         f"{timings['vector']:.2f}s), run-to-run identical"
     )

@@ -83,22 +83,19 @@ class ExecutionConfig:
     hybrid_iterations: int = 30
     """Comparison HITs the hybrid sort may spend."""
 
-    limit_sort_tournament: bool | None = None
-    """Force the ``ORDER BY rank(...) LIMIT k`` tournament path on/off for
-    this query; None defers to the ``REPRO_SORTSCALE`` toggle
-    (:mod:`repro.util.sortscale`). When active (and the sort method is
-    'compare', the ORDER BY has no plain prefix, and k is below the item
-    count), the sort extracts the leading k items with successive
-    best-of-batch tournaments (§2.3's MAX/MIN interface) instead of full
-    C(N, 2) pair coverage — O(N·k/b) HITs instead of O(N²). Unlike the
-    toggle's other (stream-preserving) fast paths, this one deliberately
-    changes the HIT stream, so the two modes poll different crowds: the
-    leading rows come back identical whenever the crowd's judgements
-    among the leaders are consistent (high-margin comparisons), while for
-    genuinely ambiguous leaders the tournament can disagree with the full
-    sort's win-count ranking — just as re-running the full sort against a
-    different crowd would. Set this to False for correctness-sensitive
-    queries over ambiguous data."""
+    limit_sort_tournament: bool = True
+    """Whether ``ORDER BY rank(...) LIMIT k`` may take the tournament path.
+    When on (and the sort method is 'compare', the ORDER BY has no plain
+    prefix, and k is below the item count), the sort extracts the leading
+    k items with successive best-of-batch tournaments (§2.3's MAX/MIN
+    interface) instead of full C(N, 2) pair coverage — O(N·k/b) HITs
+    instead of O(N²). The two paths post different HITs, so they poll
+    different crowds: the leading rows come back identical whenever the
+    crowd's judgements among the leaders are consistent (high-margin
+    comparisons), while for genuinely ambiguous leaders the tournament can
+    disagree with the full sort's win-count ranking — just as re-running
+    the full sort against a different crowd would. Set this to False for
+    correctness-sensitive queries over ambiguous data."""
 
     limit_pick_batch_size: int = 5
     """Items per best-of-batch pick HIT in the LIMIT tournament path."""

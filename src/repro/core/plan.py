@@ -149,9 +149,9 @@ class SortNode(PlanNode):
     limit_hint: int | None = None
     """Set by the planner when a ``LIMIT k`` caps this sort through
     row-preserving operators only (a crowd-free projection): the sort may
-    then produce just the leading k rows. The scale-out sort path
-    (``REPRO_SORTSCALE``) routes a hinted single-group Compare sort through
-    best-of-batch tournaments instead of full pair coverage."""
+    then produce just the leading k rows: a hinted single-group Compare
+    sort runs best-of-batch tournaments instead of full pair coverage
+    (``ExecutionConfig.limit_sort_tournament``)."""
 
     def label(self) -> str:
         rendered = ", ".join(str(item) for item in self.order_items)

@@ -50,7 +50,6 @@ from repro.sorting.hybrid import (
 from repro.sorting.rating import RatingSummary, order_by_rating, summarize_ratings
 from repro.sorting.topk import tournament_top_k
 from repro.tasks.registry import ROLE_RANK, task_role
-from repro.util import sortscale
 from repro.util.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -205,7 +204,7 @@ class _Reversible:
 
 
 # ---------------------------------------------------------------------------
-# LIMIT-aware tournament sort (scale-out path)
+# LIMIT-aware tournament sort
 # ---------------------------------------------------------------------------
 
 
@@ -213,16 +212,14 @@ def _limit_tournament_applies(node: SortNode, ctx: QueryContext) -> bool:
     """Whether this sort may satisfy its LIMIT hint with tournaments.
 
     Requires the planner's hint, the Compare method (Rate is already O(N)
-    HITs; Hybrid's repair loop needs the whole order), and the tournament
-    switch: ``ExecutionConfig.limit_sort_tournament`` when set, else the
-    ``REPRO_SORTSCALE`` toggle.
+    HITs; Hybrid's repair loop needs the whole order), and
+    ``ExecutionConfig.limit_sort_tournament``.
     """
-    if node.limit_hint is None or ctx.config.sort_method != "compare":
-        return False
-    active = ctx.config.limit_sort_tournament
-    if active is None:
-        active = sortscale.enabled()
-    return bool(active)
+    return (
+        node.limit_hint is not None
+        and ctx.config.sort_method == "compare"
+        and ctx.config.limit_sort_tournament
+    )
 
 
 def pick_best_payload(

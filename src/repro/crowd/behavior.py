@@ -31,7 +31,6 @@ from functools import lru_cache
 from repro.crowd.truth import GroundTruth
 from repro.crowd.worker import WorkerProfile
 from repro.errors import MarketplaceError
-from repro.util import fastpath
 from repro.hits.hit import (
     HIT,
     ComparePayload,
@@ -42,7 +41,6 @@ from repro.hits.hit import (
     Payload,
     PickBestPayload,
     RatePayload,
-    compare_qid,
     filter_qid,
     generative_qid,
     join_qid,
@@ -90,8 +88,7 @@ def spam_answer_hit(
     replace an honest assignment's answers with garbage: the worker is
     answered through a spammer twin (``is_spammer=True, spam_style="random"``)
     against a caller-supplied stream, so the honest dispatch draws are
-    untouched. Spammer branches never take the fastpath lanes, so the
-    replacement is identical under both executors.
+    untouched and the replacement is identical under both executors.
     """
     twin = replace(worker, is_spammer=True, spam_style="random")
     return answer_hit(twin, hit, truth, rng)
@@ -144,9 +141,9 @@ def _spam_binary(worker: WorkerProfile, rng: RandomSource) -> bool:
 def _chance_draws(probability: float) -> bool:
     """Whether ``RandomSource.chance(probability)`` consumes a draw.
 
-    The fast lanes below inline ``chance`` with raw draws; probabilities at
-    or beyond 0/1 short-circuit without touching the stream, and that edge
-    must be preserved exactly.
+    The honest-worker loops below inline ``chance`` with raw draws;
+    probabilities at or beyond 0/1 short-circuit without touching the
+    stream, and that edge must be preserved exactly.
     """
     return 0.0 < probability < 1.0
 
@@ -158,39 +155,15 @@ def _answer_filter(
     rng: RandomSource,
     units: int,
 ) -> dict[str, object]:
-    if fastpath.enabled() and not worker.is_spammer:
-        return _answer_filter_fast(worker, payload, truth, rng, units)
-    answers: dict[str, object] = {}
-    for question in payload.questions:
-        qid = filter_qid(payload.task_name, question.item)
-        if worker.is_spammer:
-            answers[qid] = _spam_binary(worker, rng)
-            continue
-        correct = truth.filter_answer(payload.task_name, question.item)
-        error = worker.error_rate(worker.filter_error, units)
-        answer = (not correct) if rng.chance(error) else correct
-        # Yes-bias: a biased worker occasionally flips a "no" to "yes"
-        # (or vice versa) beyond their symmetric error rate.
-        if worker.yes_bias > 0 and not answer and rng.chance(worker.yes_bias):
-            answer = True
-        elif worker.yes_bias < 0 and answer and rng.chance(-worker.yes_bias):
-            answer = False
-        answers[qid] = answer
-    return answers
-
-
-def _answer_filter_fast(
-    worker: WorkerProfile,
-    payload: FilterPayload,
-    truth: GroundTruth,
-    rng: RandomSource,
-    units: int,
-) -> dict[str, object]:
-    """Draw-for-draw equivalent of the honest-worker loop above, with the
-    per-question constants (error rate, bias) hoisted and ``chance``
+    """Binary answers: a flip at the worker's batch-scaled error rate, then
+    a yes-bias nudge. Per-question constants are hoisted and ``chance`` is
     inlined against the raw stream."""
     answers: dict[str, object] = {}
     task_name = payload.task_name
+    if worker.is_spammer:
+        for question in payload.questions:
+            answers[filter_qid(task_name, question.item)] = _spam_binary(worker, rng)
+        return answers
     filter_answer = truth.filter_answer
     raw_random = rng.raw.random
     error = worker.error_rate(worker.filter_error, units)
@@ -203,6 +176,8 @@ def _answer_filter_fast(
         correct = filter_answer(task_name, question.item)
         flip = raw_random() < error if error_draws else error_always
         answer = (not correct) if flip else correct
+        # Yes-bias: a biased worker occasionally flips a "no" to "yes"
+        # (or vice versa) beyond their symmetric error rate.
         if yes_bias > 0 and not answer:
             if raw_random() < yes_bias if bias_draws else bias_always:
                 answer = True
@@ -220,35 +195,16 @@ def _answer_join_pairs(
     rng: RandomSource,
     units: int,
 ) -> dict[str, object]:
-    if fastpath.enabled() and not worker.is_spammer:
-        return _answer_join_pairs_fast(worker, payload, truth, rng, units)
-    answers: dict[str, object] = {}
-    for pair in payload.pairs:
-        qid = join_qid(payload.task_name, pair.left, pair.right)
-        if worker.is_spammer:
-            answers[qid] = _spam_binary(worker, rng)
-            continue
-        is_match = truth.join_match(payload.task_name, pair.left, pair.right)
-        if is_match:
-            miss = worker.error_rate(worker.join_miss, units)
-            answers[qid] = not rng.chance(miss)
-        else:
-            false_alarm = worker.error_rate(worker.join_false_alarm, units)
-            answers[qid] = rng.chance(false_alarm)
-    return answers
-
-
-def _answer_join_pairs_fast(
-    worker: WorkerProfile,
-    payload: JoinPairsPayload,
-    truth: GroundTruth,
-    rng: RandomSource,
-    units: int,
-) -> dict[str, object]:
-    """Honest-worker lane of the loop above: rates hoisted, ``chance``
-    inlined, identical draw sequence."""
+    """Pairwise join answers: misses on matches, false alarms otherwise,
+    both at batch-scaled rates (hoisted, ``chance`` inlined)."""
     answers: dict[str, object] = {}
     task_name = payload.task_name
+    if worker.is_spammer:
+        for pair in payload.pairs:
+            answers[join_qid(task_name, pair.left, pair.right)] = _spam_binary(
+                worker, rng
+            )
+        return answers
     join_match = truth.join_match
     raw_random = rng.raw.random
     miss = worker.error_rate(worker.join_miss, units)
@@ -298,33 +254,23 @@ def _answer_join_grid(
                     )
         return answers
     extra_miss = min(GRID_MISS_CAP, GRID_MISS_PER_CELL * max(0, cells - 4))
-    if fastpath.enabled():
-        task_name = payload.task_name
-        join_match = truth.join_match
-        raw_random = rng.raw.random
-        miss = min(0.9, worker.join_miss + extra_miss)
-        miss_draws = _chance_draws(miss)
-        miss_always = miss >= 1.0
-        false_alarm = worker.join_false_alarm
-        fa_draws = _chance_draws(false_alarm)
-        fa_always = false_alarm >= 1.0
-        for left in payload.left_items:
-            for right in payload.right_items:
-                if join_match(task_name, left, right):
-                    missed = raw_random() < miss if miss_draws else miss_always
-                    answers[f"{task_name}:join:{left}|{right}"] = not missed
-                else:
-                    alarmed = raw_random() < false_alarm if fa_draws else fa_always
-                    answers[f"{task_name}:join:{left}|{right}"] = alarmed
-        return answers
+    task_name = payload.task_name
+    join_match = truth.join_match
+    raw_random = rng.raw.random
+    miss = min(0.9, worker.join_miss + extra_miss)
+    miss_draws = _chance_draws(miss)
+    miss_always = miss >= 1.0
+    false_alarm = worker.join_false_alarm
+    fa_draws = _chance_draws(false_alarm)
+    fa_always = false_alarm >= 1.0
     for left in payload.left_items:
         for right in payload.right_items:
-            qid = join_qid(payload.task_name, left, right)
-            if truth.join_match(payload.task_name, left, right):
-                miss = min(0.9, worker.join_miss + extra_miss)
-                answers[qid] = not rng.chance(miss)
+            if join_match(task_name, left, right):
+                missed = raw_random() < miss if miss_draws else miss_always
+                answers[f"{task_name}:join:{left}|{right}"] = not missed
             else:
-                answers[qid] = rng.chance(worker.join_false_alarm)
+                alarmed = raw_random() < false_alarm if fa_draws else fa_always
+                answers[f"{task_name}:join:{left}|{right}"] = alarmed
     return answers
 
 
@@ -339,16 +285,13 @@ def _perceived(
     item: str,
     truth: GroundTruth,
     rng: RandomSource,
-    use_rating_ambiguity: bool = False,
 ) -> float:
+    """One worker's noisy reading of an item's latent value (one draw)."""
     rank_truth = truth.rank_truth(task_name)
     if rank_truth.random_answers or worker.is_spammer:
         return rng.random()
-    ambiguity = (
-        rank_truth.rating_ambiguity if use_rating_ambiguity else rank_truth.comparison_ambiguity
-    )
-    noise = worker.compare_noise if not use_rating_ambiguity else worker.rate_noise
-    return truth.latent_value(task_name, item) + rng.gauss(0.0, noise * ambiguity)
+    sigma = worker.compare_noise * rank_truth.comparison_ambiguity
+    return truth.latent_value(task_name, item) + rng.gauss(0.0, sigma)
 
 
 def _answer_compare(
@@ -361,26 +304,37 @@ def _answer_compare(
     """Rank each group by perceived value; emit every pairwise outcome.
 
     The vote value for pair qid ``task:cmp:a|b`` is the winning (greater)
-    item's reference.
+    item's reference. Each item costs one draw as in :func:`_perceived` (a
+    uniform for spammers and random-answer tasks, else a gauss), plus a
+    batch-fatigue gauss for honest workers on large HITs. Per-item truth
+    and ambiguity lookups are hoisted out of the loops and pair qids are
+    cached per group layout.
     """
     answers: dict[str, object] = {}
+    task_name = payload.task_name
+    rank_truth = truth.rank_truth(task_name)
+    random_answers = rank_truth.random_answers or worker.is_spammer
+    sigma = worker.compare_noise * rank_truth.comparison_ambiguity
+    latent_value = truth.latent_value
+    gauss = rng.raw.gauss
+    raw_random = rng.raw.random
     batch = worker.batch_factor(units)
-    if fastpath.enabled() and not worker.is_spammer:
-        return _answer_compare_fast(worker, payload, truth, rng, batch)
+    # Batch fatigue adds a little extra noise on large HITs.
+    fatigue = batch > 1.0 and not worker.is_spammer
+    fatigue_sigma = 0.01 * (batch - 1.0)
     for group in payload.groups:
-        perceived: dict[str, float] = {}
-        for item in group.items:
-            value = _perceived(worker, payload.task_name, item, truth, rng)
-            # Batch fatigue adds a little extra noise on large HITs.
-            if batch > 1.0 and not worker.is_spammer:
-                value += rng.gauss(0.0, 0.01 * (batch - 1.0))
-            perceived[item] = value
-        items = list(group.items)
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                winner = a if perceived[a] >= perceived[b] else b
-                answers[compare_qid(payload.task_name, a, b)] = winner
+        items = group.items
+        perceived: list[float] = []
+        for item in items:
+            if random_answers:
+                value = raw_random()
+            else:
+                value = latent_value(task_name, item) + gauss(0.0, sigma)
+            if fatigue:
+                value += gauss(0.0, fatigue_sigma)
+            perceived.append(value)
+        for i, j, qid in _compare_pair_layout(task_name, items):
+            answers[qid] = items[i] if perceived[i] >= perceived[j] else items[j]
     return answers
 
 
@@ -403,43 +357,6 @@ def _compare_pair_layout(
     return tuple(pairs)
 
 
-def _answer_compare_fast(
-    worker: WorkerProfile,
-    payload: ComparePayload,
-    truth: GroundTruth,
-    rng: RandomSource,
-    batch: float,
-) -> dict[str, object]:
-    """Honest-worker lane of ``_answer_compare``: per-item truth/ambiguity
-    lookups hoisted out of the loops, pair qids cached per group layout;
-    identical draw sequence (one gauss per item via ``_perceived``, plus
-    the batch-fatigue gauss)."""
-    answers: dict[str, object] = {}
-    task_name = payload.task_name
-    rank_truth = truth.rank_truth(task_name)
-    random_answers = rank_truth.random_answers
-    sigma = worker.compare_noise * rank_truth.comparison_ambiguity
-    latent_value = truth.latent_value
-    gauss = rng.raw.gauss
-    raw_random = rng.raw.random
-    fatigue = batch > 1.0
-    fatigue_sigma = 0.01 * (batch - 1.0)
-    for group in payload.groups:
-        items = group.items
-        perceived: list[float] = []
-        for item in items:
-            if random_answers:
-                value = raw_random()
-            else:
-                value = latent_value(task_name, item) + gauss(0.0, sigma)
-            if fatigue:
-                value += gauss(0.0, fatigue_sigma)
-            perceived.append(value)
-        for i, j, qid in _compare_pair_layout(task_name, items):
-            answers[qid] = items[i] if perceived[i] >= perceived[j] else items[j]
-    return answers
-
-
 def _answer_rate(
     worker: WorkerProfile,
     payload: RatePayload,
@@ -447,37 +364,31 @@ def _answer_rate(
     rng: RandomSource,
     units: int,
 ) -> dict[str, object]:
+    """Likert points from perceived value plus the worker's bias; spammers
+    pick uniformly. Per-question lookups are hoisted out of the loop."""
     answers: dict[str, object] = {}
     scale = payload.scale_points
-    if fastpath.enabled() and not worker.is_spammer:
-        task_name = payload.task_name
-        rank_truth = truth.rank_truth(task_name)
-        random_answers = rank_truth.random_answers
-        sigma = worker.rate_noise * rank_truth.rating_ambiguity
-        latent_value = truth.latent_value
-        gauss = rng.raw.gauss
-        raw_random = rng.raw.random
-        rate_bias = worker.rate_bias
-        span = scale - 1
+    task_name = payload.task_name
+    if worker.is_spammer:
         for question in payload.questions:
-            item = question.item
-            if random_answers:
-                perceived = raw_random()
-            else:
-                perceived = latent_value(task_name, item) + gauss(0.0, sigma)
-            point = round(1 + span * perceived + rate_bias)
-            answers[f"{task_name}:rate:{item}"] = max(1, min(scale, point))
+            answers[rate_qid(task_name, question.item)] = rng.randint(1, scale)
         return answers
+    rank_truth = truth.rank_truth(task_name)
+    random_answers = rank_truth.random_answers
+    sigma = worker.rate_noise * rank_truth.rating_ambiguity
+    latent_value = truth.latent_value
+    gauss = rng.raw.gauss
+    raw_random = rng.raw.random
+    rate_bias = worker.rate_bias
+    span = scale - 1
     for question in payload.questions:
-        qid = rate_qid(payload.task_name, question.item)
-        if worker.is_spammer:
-            answers[qid] = rng.randint(1, scale)
-            continue
-        perceived = _perceived(
-            worker, payload.task_name, question.item, truth, rng, use_rating_ambiguity=True
-        )
-        point = round(1 + (scale - 1) * perceived + worker.rate_bias)
-        answers[qid] = max(1, min(scale, point))
+        item = question.item
+        if random_answers:
+            perceived = raw_random()
+        else:
+            perceived = latent_value(task_name, item) + gauss(0.0, sigma)
+        point = round(1 + span * perceived + rate_bias)
+        answers[f"{task_name}:rate:{item}"] = max(1, min(scale, point))
     return answers
 
 

@@ -27,10 +27,8 @@ dispatch draws from an independent child stream derived from the group id
 and the running ``hits_posted`` counter — not from the shared clock — and
 all gap/deadline arithmetic is relative to the group's ``post_time``, so a
 group's assignments are identical whether it is posted blocking or
-outstanding. The dispatch loop has two implementations behind
-:mod:`repro.util.fastpath` — a reference one and a fast one — that consume
-identical random draws and emit bit-identical assignments;
-``tests/test_determinism_trace.py`` enforces this.
+outstanding. The pinned golden traces (``tests/test_determinism_trace.py``)
+hold the dispatch loop to its exact draw stream.
 
 Named clients
 -------------
@@ -61,7 +59,7 @@ from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.truth import GroundTruth
 from repro.errors import MarketplaceError, TransientMarketplaceError
 from repro.hits.hit import HIT, Assignment
-from repro.util import fastpath, resilience, vector
+from repro.util import resilience, vector
 from repro.util.rng import RandomSource, child_seed_from_material
 
 
@@ -106,17 +104,11 @@ class MarketplaceStats:
         1.0 means every consideration converted into work; higher values
         measure the refusal-loop overhead (candidates declining the batch
         size, or re-drawing workers who already did the HIT) that the
-        fast-path optimizations target. 0.0 when nothing completed.
+        dispatch optimizations target. 0.0 when nothing completed.
         """
         if self.assignments_completed == 0:
             return 0.0
         return self.considerations / self.assignments_completed
-
-
-@dataclass
-class _PendingAssignment:
-    hit: HIT
-    sequence: int
 
 
 @dataclass(frozen=True)
@@ -147,14 +139,14 @@ class HITGroupTicket:
 class _FenwickSlots:
     """Index-stable pending-slot table with O(log n) k-th-alive selection.
 
-    The reference dispatch loop keeps pending slots in a plain list and
-    removes with ``list.pop(index)`` — O(n) per acceptance. Because ``pop``
+    Dispatch picks a uniform index ``k`` into the list of still-open slots
+    and removes the slot on acceptance. Kept as a plain list that is
+    ``list.pop(index)`` — O(n) per acceptance — and because ``pop``
     preserves the relative order of the survivors, the live list is always
     "the original shuffled slots, minus the removed ones, in original
-    order"; so selecting index ``k`` from the live list is exactly selecting
-    the k-th alive slot of the original order. A Fenwick tree over alive
-    flags does that selection (and removal) in O(log n) without shifting
-    anything, keeping the randint -> slot mapping bit-identical.
+    order"; so selecting index ``k`` from it is exactly selecting the k-th
+    alive slot of the original order. A Fenwick tree over alive flags does
+    that selection (and removal) in O(log n) without shifting anything.
     """
 
     __slots__ = ("_slots", "_alive", "_tree", "_size", "_count")
@@ -332,28 +324,17 @@ class SimulatedMarketplace:
             completed, now, incomplete_hits = dispatch_vector(
                 self, hits, rng, post_time, trial_factor
             )
-        elif fastpath.enabled():
-            # Bare (hit, sequence) tuples: the fast loop unpacks them by
-            # index. Shuffle draws depend only on length, so the slot
-            # representation does not touch the stream.
-            pending_fast = [
+        else:
+            # Bare (hit, sequence) slots, shuffled once: the dispatch loop
+            # unpacks them by index.
+            pending = [
                 (hit, sequence)
                 for hit in hits
                 for sequence in range(hit.assignments_requested)
             ]
-            completed, now, incomplete_hits = self._dispatch_fast(
-                hits, rng.shuffled(pending_fast), rng, post_time, trial_factor
+            completed, now, incomplete_hits = self._dispatch(
+                hits, rng.shuffled(pending), rng, post_time, trial_factor
             )
-        else:
-            pending: list[_PendingAssignment] = []
-            for hit in hits:
-                for sequence in range(hit.assignments_requested):
-                    pending.append(_PendingAssignment(hit=hit, sequence=sequence))
-            pending = rng.shuffled(pending)
-            completed, now, leftover = self._dispatch_reference(
-                hits, pending, rng, post_time, trial_factor
-            )
-            incomplete_hits = {slot.hit.hit_id for slot in leftover}
 
         fault_record: GroupFaultRecord | None = None
         plan = self.faults
@@ -473,10 +454,10 @@ class SimulatedMarketplace:
     ) -> tuple[list[Assignment], set[str], GroupFaultRecord]:
         """Overlay the fault plan on a group's dispatched assignments.
 
-        Runs *after* dispatch so the reference/fast loops stay untouched;
-        all draws come from a child of the group's stream seed, so the
-        overlay is identical under both dispatch implementations and both
-        executors (group streams are keyed by posting order). Per-rate
+        Runs *after* dispatch so the dispatch loop stays untouched; all
+        draws come from a child of the group's stream seed, so the overlay
+        is identical under both executors (group streams are keyed by
+        posting order). Per-rate
         guards keep zero rates from consuming any draw.
         """
         plan = self.faults
@@ -547,73 +528,7 @@ class SimulatedMarketplace:
             }
         return table[worker_id]
 
-    def _dispatch_reference(
-        self,
-        hits: Sequence[HIT],
-        pending: list[_PendingAssignment],
-        rng: RandomSource,
-        post_time: float,
-        trial_factor: float,
-    ) -> tuple[list[Assignment], float, list[_PendingAssignment]]:
-        """The reference dispatch loop (kept verbatim for the fast path's
-        determinism contract; see the module docstring)."""
-        total = len(pending)
-        completed: list[Assignment] = []
-        workers_on_hit: dict[str, set[str]] = {hit.hit_id: set() for hit in hits}
-        deadline = post_time + self.latency.deadline_seconds
-        consecutive_refusals = 0
-        now = post_time
-
-        while pending:
-            gap = self.latency.next_consideration_gap(
-                rng, len(pending), total, self.time_of_day, trial_factor
-            )
-            now += gap
-            if now > deadline:
-                break
-            if consecutive_refusals >= self.latency.config.max_consecutive_refusals:
-                break
-            index = rng.randint(0, len(pending) - 1)
-            slot = pending[index]
-            hit = slot.hit
-            self.stats.considerations += 1
-            worker = self.pool.pick_candidate(
-                rng,
-                batch_units=hit.unit_count,
-                exclude=workers_on_hit[hit.hit_id],
-            )
-            if worker is None:
-                consecutive_refusals += 1
-                self.stats.refusals += 1
-                continue
-            if not rng.chance(worker.acceptance_probability(hit.effort_seconds)):
-                consecutive_refusals += 1
-                self.stats.refusals += 1
-                continue
-            consecutive_refusals = 0
-            pending.pop(index)
-            workers_on_hit[hit.hit_id].add(worker.worker_id)
-            work = self.latency.work_seconds(worker, hit.effort_seconds, rng)
-            answers = answer_hit(
-                worker,
-                hit,
-                self.truth,
-                rng.child("answers", hit.hit_id, slot.sequence, worker.worker_id),
-            )
-            self._assignment_counter += 1
-            assignment = Assignment(
-                assignment_id=f"asn-{self._assignment_counter:06d}",
-                hit_id=hit.hit_id,
-                worker_id=worker.worker_id,
-                answers=answers,
-                accept_time=now,
-                submit_time=now + work,
-            )
-            completed.append(assignment)
-            self.stats.record_work(worker.worker_id)
-        return completed, now, pending
-
-    def _dispatch_fast(
+    def _dispatch(
         self,
         hits: Sequence[HIT],
         pending: list[tuple[HIT, int]],
@@ -621,14 +536,18 @@ class SimulatedMarketplace:
         post_time: float,
         trial_factor: float,
     ) -> tuple[list[Assignment], float, set[str]]:
-        """Stream-preserving fast dispatch.
+        """The scalar dispatch loop: workers consider and complete slots.
 
-        Identical draw-for-draw to :meth:`_dispatch_reference`; the wins are
-        structural: pickup rates come from a precomputed table, slot
-        selection/removal goes through the Fenwick table instead of
-        ``list.pop``, per-HIT constants (unit count, effort, exclusion set)
-        are resolved once, and the per-draw wrapper methods are bypassed in
-        favour of the same underlying ``random.Random`` stream.
+        Each step draws an exponential consideration gap from the pickup
+        rate of the slots still open, picks a uniform open slot, asks the
+        pool for a candidate and the candidate whether to accept, and on
+        acceptance draws the work time and the worker's answers. A run of
+        ``max_consecutive_refusals`` refusals or the posting deadline ends
+        the group. Pickup rates come from a precomputed table, slot
+        selection and removal go through a Fenwick table, per-HIT constants
+        (unit count, effort, exclusion set) are resolved once, and the
+        per-draw wrapper methods are bypassed in favour of the same
+        underlying ``random.Random`` stream.
         """
         total = len(pending)
         completed: list[Assignment] = []
@@ -649,7 +568,7 @@ class SimulatedMarketplace:
         raw_lognormvariate = raw.lognormvariate
         select = slots.select
         remove = slots.remove
-        pick_fast = self.pool._pick_candidate_fast
+        pick_candidate = self.pool.pick_candidate
         truth = self.truth
         stats = self.stats
         record_work = stats.record_work
@@ -676,13 +595,13 @@ class SimulatedMarketplace:
             considerations += 1
             hit_id = hit.hit_id
             taken_by = workers_on_hit[hit_id]
-            worker = pick_fast(rng, hit.unit_count, taken_by)
+            worker = pick_candidate(rng, hit.unit_count, taken_by)
             if worker is None:
                 consecutive_refusals += 1
                 refusals += 1
                 continue
             # Inlined RandomSource.chance: acceptance probabilities of 0/1
-            # must not consume a draw, matching the reference wrapper.
+            # must not consume a draw.
             effort = hit.effort_seconds
             probability = worker.acceptance_probability(effort)
             if probability <= 0.0:

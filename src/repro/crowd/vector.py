@@ -1,8 +1,8 @@
 """Vectorized marketplace dispatch kernel (``REPRO_VECTOR=1``).
 
-The scalar dispatch loops (:meth:`SimulatedMarketplace._dispatch_reference`
-and ``_dispatch_fast``) burn one Python iteration per worker *consideration*
-— RNG draw, slot select, pool pick, acceptance check — of which there are
+The scalar dispatch loop (:meth:`SimulatedMarketplace._dispatch`) burns
+one Python iteration per worker *consideration* — RNG draw, slot select,
+pool pick, acceptance check — of which there are
 several per completed assignment. This module batches that stream with
 numpy: inter-arrival gaps, slot indices, and acceptance uniforms are drawn
 in round-sized chunks from a dedicated :class:`numpy.random.Generator`, and
@@ -48,7 +48,7 @@ Answer synthesis is vectorized per payload kind where the behaviour model
 allows it; HITs carrying payload kinds without a vector planner (free-text
 generative fields, pick-best, out-of-tree kinds) fall back to the exact
 scalar ``child_seed`` derivation — such assignments carry the *same*
-answers the scalar fast path would produce for the same (hit, sequence,
+answers the scalar dispatch loop would produce for the same (hit, sequence,
 worker) triple.
 """
 
@@ -111,7 +111,7 @@ def dispatch_vector(
 ):
     """Dispatch one HIT group with the numpy kernel.
 
-    Same contract as ``SimulatedMarketplace._dispatch_fast``: returns
+    Same contract as ``SimulatedMarketplace._dispatch``: returns
     ``(completed, now, incomplete_hit_ids)`` and updates the marketplace
     stats / assignment counter.
     """
@@ -1160,7 +1160,7 @@ class _GroupKernel:
 
     def _scalar_answers(self, fb, win_slots, win_hits, widx, dicts) -> None:
         """Scalar-tail answers for unvectorizable HITs, via the exact
-        ``child_seed`` derivation of the scalar fast path (same answers for
+        ``child_seed`` derivation of the scalar dispatch loop (same answers for
         the same hit/sequence/worker triple)."""
         child_rng = self._scalar_rng
         reseed = child_rng.reseed

@@ -1,7 +1,7 @@
-"""Scalable sort workloads for the scale-out sort engine (``REPRO_SORTSCALE``).
+"""Scalable sort workloads for the sort engine at thousands of items.
 
-The paper's sort experiments stop at 40–50 squares; the scale-out sort
-engine targets thousands. This module grows the squares dataset (§4.2.1)
+The paper's sort experiments stop at 40–50 squares; the sort engine
+targets thousands. This module grows the squares dataset (§4.2.1)
 into two reusable workloads shared by ``benchmarks/bench_sort_scale.py``,
 ``scripts/profile_hotpath.py --check``, and ``tests/test_sort_scale.py``:
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import html as _html
 
 from repro.errors import TaskError
-from repro.util import fastpath
 from repro.hits.hit import (
     HIT,
     CompareGroup,
@@ -160,14 +159,10 @@ class HITCompiler:
         Effort is always estimated eagerly — the marketplace needs it for
         acceptance decisions. The HTML render is the expensive half and is
         only needed when something actually reads ``hit.html`` (a real
-        platform, a test), so on the fast path it is deferred to first
-        access; the rendered form is identical either way.
+        platform, a test), so it is deferred to first access.
         """
         hit.effort_seconds = self.estimate_effort(hit)
-        if fastpath.enabled():
-            hit.defer_html(self.render_hit)
-        else:
-            hit.html = self.render_hit(hit)
+        hit.defer_html(self.render_hit)
         return hit
 
     def estimate_effort(self, hit: HIT) -> float:

@@ -10,24 +10,14 @@ with the weakest support (vote margin) until the graph is acyclic. SCCs are
 found with Tarjan's algorithm, implemented from scratch (iteratively, to
 dodge recursion limits).
 
-Two implementations share this module, switched by the ``REPRO_SORTSCALE``
-toggle (:mod:`repro.util.sortscale`):
-
-* the **reference** path — full Tarjan over the whole graph on every
-  edge-removal sweep, victim scans over a fresh ``edges`` dict copy, and a
-  re-sorting Kahn queue — kept verbatim so the scale-out claims stay
-  measurable and the seed behaviour reproducible;
-* the **scale** path — after deleting an SCC's weakest edge, SCCs are
-  recomputed only within that component's node set, the victim scan walks
-  the component's own adjacency instead of every edge in the graph, and
-  the topological sort drains a heap.
-
-Both paths produce the same orders and the same removed-edge *set*; only
-the removal *sequence* (interleaving across independent components) and
-the wall-clock differ (``tests/test_sort_scale.py``). The graph itself is
-always indexed — a maintained item set kills ``add_edge``'s old O(n) list
-scan, and forward adjacency makes ``successors`` allocation-free — because
-those fixes are observationally identical to the seed structure.
+The implementation is built for thousands of items. The graph keeps an
+item set (``add_edge`` is O(1)) and forward adjacency (``successors`` is
+allocation-free). After deleting an SCC's weakest edge, SCCs are
+recomputed only within that component's node set, the victim scan walks
+the component's own adjacency instead of every edge in the graph, and the
+topological sort drains a heap. ``tests/test_sort_scale.py`` checks the
+orders and removed-edge sets against plain full-Tarjan and re-sorting-Kahn
+oracles on random corpora with planted cycles.
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import QurkError
 from repro.hits.hit import Vote
-from repro.util import sortscale
 
 
 class ComparisonGraph:
@@ -105,9 +94,8 @@ class ComparisonGraph:
 def strongly_connected_components(graph: ComparisonGraph) -> list[list[str]]:
     """Tarjan's SCC algorithm (iterative), over the whole graph.
 
-    This is the reference entry point (it rebuilds adjacency from the
-    copying ``edges`` accessor); the scale path runs the same algorithm
-    through :func:`_tarjan_components` on the graph's live index instead.
+    Rebuilds adjacency from the copying ``edges`` accessor; the cycle
+    breaker runs the same algorithm on the graph's live index instead.
     """
     adjacency: dict[str, list[str]] = {node: [] for node in graph.items}
     for winner, loser in graph.edges:
@@ -182,45 +170,13 @@ def break_cycles(graph: ComparisonGraph) -> list[tuple[str, str]]:
     Returns the removed edges. Low-margin edges are the least trustworthy
     comparisons, so sacrificing them first preserves the most crowd signal.
 
-    Components evolve independently (removing edges only ever *splits*
-    SCCs), so the reference sweep — one weakest edge per cyclic component,
-    then full Tarjan again — and the scale path's per-component worklist
-    remove the same edge *set*; they interleave independent components
-    differently, so the returned order may differ between toggle modes.
-    """
-    if sortscale.enabled():
-        return _break_cycles_scale(graph)
-    removed: list[tuple[str, str]] = []
-    while True:
-        cyclic = [
-            component
-            for component in strongly_connected_components(graph)
-            if len(component) > 1
-        ]
-        if not cyclic:
-            return removed
-        for component in cyclic:
-            members = set(component)
-            internal = [
-                (edge, weight)
-                for edge, weight in graph.edges.items()
-                if edge[0] in members and edge[1] in members
-            ]
-            victim = min(internal, key=lambda pair: (pair[1], pair[0]))[0]
-            graph.remove_edge(*victim)
-            removed.append(victim)
-
-
-def _break_cycles_scale(graph: ComparisonGraph) -> list[tuple[str, str]]:
-    """Incremental cycle breaking over the graph's live adjacency index.
-
     One full Tarjan seeds a worklist of cyclic components; thereafter each
     victim deletion recomputes SCCs only inside the affected component's
     node set, and the victim scan enumerates the component's own adjacency
-    rows (its per-component edge index) instead of sweeping every edge in
-    the graph. The weakest-edge choice within a component is the same
-    (margin, edge) minimum the reference takes, so per-component removal
-    sequences — and therefore the removed-edge set — are identical.
+    rows instead of sweeping every edge in the graph. Components evolve
+    independently (removing edges only ever *splits* SCCs), so the removed
+    edge *set* is the one a whole-graph sweep would remove; the returned
+    order interleaves independent components in worklist order.
     """
     succ = graph._succ
     removed: list[tuple[str, str]] = []
@@ -254,36 +210,9 @@ def topological_order(graph: ComparisonGraph) -> list[str]:
     incoming edges are maxima; we compute the standard order and reverse it.
     Raises :class:`QurkError` if the graph still has cycles.
 
-    Both the reference (re-sorted ready list) and the scale path (min-heap)
-    always emit the lexicographically smallest ready node next, so their
-    orders are identical.
+    The ready queue is a min-heap over the live adjacency index, so the
+    lexicographically smallest ready node always comes next.
     """
-    if sortscale.enabled():
-        return _topological_order_heap(graph)
-    in_degree: dict[str, int] = {node: 0 for node in graph.items}
-    for _, loser in graph.edges:
-        in_degree[loser] += 1
-    ready = sorted(node for node, degree in in_degree.items() if degree == 0)
-    order: list[str] = []
-    adjacency: dict[str, list[str]] = {node: [] for node in graph.items}
-    for winner, loser in graph.edges:
-        adjacency[winner].append(loser)
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for succ in sorted(adjacency[node]):
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                ready.append(succ)
-        ready.sort()
-    if len(order) != len(graph.items):
-        raise QurkError("graph has cycles; run break_cycles first")
-    order.reverse()
-    return order
-
-
-def _topological_order_heap(graph: ComparisonGraph) -> list[str]:
-    """Kahn with a min-heap ready queue over the live adjacency index."""
     succ = graph._succ
     in_degree: dict[str, int] = {node: 0 for node in graph.items}
     for targets in succ.values():

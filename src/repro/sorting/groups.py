@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import QurkError
-from repro.util import fastpath
 from repro.util.rng import RandomSource
 
 
@@ -33,78 +32,15 @@ def minimum_group_count(n_items: int, group_size: int) -> float:
     return (n_items * (n_items - 1)) / (group_size * (group_size - 1))
 
 
-def covering_groups(
-    items: Sequence[str], group_size: int, seed: int = 0
-) -> list[tuple[str, ...]]:
-    """Greedy covering design: groups of ``group_size`` covering all pairs.
-
-    Strategy: repeatedly build a group seeded with the item participating in
-    the most uncovered pairs, then grow it with the item covering the most
-    new pairs against the current members. Ties break randomly (seeded) so
-    repeated trials explore different designs.
-    """
-    unique = list(dict.fromkeys(items))
-    if len(unique) != len(items):
-        raise QurkError("items must be distinct")
-    if group_size < 2:
-        raise QurkError("group size must be at least 2")
-    if group_size > len(unique):
-        raise QurkError(
-            f"group size {group_size} exceeds item count {len(unique)}"
-        )
-    rng = RandomSource(seed).child("covering-groups")
-    if fastpath.enabled():
-        return _covering_groups_fast(unique, group_size, rng)
-    uncovered: set[tuple[str, str]] = set()
-    for i in range(len(unique)):
-        for j in range(i + 1, len(unique)):
-            uncovered.add(tuple(sorted((unique[i], unique[j]))))  # type: ignore[arg-type]
-
-    degree: dict[str, int] = {item: len(unique) - 1 for item in unique}
-
-    def uncovered_with(item: str, members: list[str]) -> int:
-        return sum(
-            1 for member in members if tuple(sorted((item, member))) in uncovered
-        )
-
-    groups: list[tuple[str, ...]] = []
-    while uncovered:
-        max_degree = max(degree.values())
-        seeds = [item for item, d in degree.items() if d == max_degree]
-        group = [rng.choice(seeds)]
-        while len(group) < group_size:
-            best_gain = -1
-            candidates: list[str] = []
-            for item in unique:
-                if item in group:
-                    continue
-                gain = uncovered_with(item, group)
-                if gain > best_gain:
-                    best_gain = gain
-                    candidates = [item]
-                elif gain == best_gain:
-                    candidates.append(item)
-            group.append(rng.choice(candidates))
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                pair = tuple(sorted((group[i], group[j])))
-                if pair in uncovered:
-                    uncovered.discard(pair)  # type: ignore[arg-type]
-                    degree[pair[0]] -= 1
-                    degree[pair[1]] -= 1
-        groups.append(tuple(group))
-    return groups
-
-
 class _ArgmaxView:
     """Lazy sequence of the items whose score equals ``best``, in item order.
 
     ``random.Random.choice(seq)`` consumes one ``_randbelow(len(seq))`` draw
     and reads ``seq[i]`` once. Exposing the argmax candidates through this
-    view therefore consumes exactly the draws the reference's materialized
-    candidate list would — with the same length and the same i-th element —
-    without allocating the list on every greedy pick. Occurrence lookup
-    rides on C-level ``list.index``.
+    view therefore consumes exactly the draws a materialized candidate list
+    would — with the same length and the same i-th element — without
+    allocating the list on every greedy pick. Occurrence lookup rides on
+    C-level ``list.index``.
     """
 
     __slots__ = ("scores", "best", "items", "count")
@@ -129,26 +65,37 @@ class _ArgmaxView:
         return self.items[position]
 
 
-def _covering_groups_fast(
-    unique: list[str], group_size: int, rng: RandomSource
+def covering_groups(
+    items: Sequence[str], group_size: int, seed: int = 0
 ) -> list[tuple[str, ...]]:
-    """The greedy covering above, restructured around incremental gains.
+    """Greedy covering design: groups of ``group_size`` covering all pairs.
 
-    Identical output and RNG consumption: every ``rng.choice`` sees a
-    candidate sequence with the same length and the same elements in the
-    same (item-index) order as the reference's list, so it draws and picks
-    identically. The wins are structural:
+    Strategy: repeatedly build a group seeded with the item participating in
+    the most uncovered pairs, then grow it with the item covering the most
+    new pairs against the current members. Ties break randomly (seeded) so
+    repeated trials explore different designs: each pick is one
+    ``rng.choice`` over the tied candidates in item order.
 
-    * "is this pair uncovered?" is an integer-set membership instead of a
-      sorted string-tuple allocation per probe;
+    The greedy runs on integer item ids with incremental gains:
+
+    * "is this pair uncovered?" is an integer-set membership;
     * per-pick gains are maintained incrementally in an int array (adding a
-      member bumps the gain of its uncovered partners) instead of being
-      recomputed member-by-member for every item; group members sit at a
-      large negative sentinel so they can never tie a real candidate, and
-      the argmax/count/select steps all run as C-level list primitives;
+      member bumps the gain of its uncovered partners); group members sit
+      at a large negative sentinel so they can never tie a real candidate,
+      and the argmax/count/select steps all run as C-level list primitives;
     * candidate argmax sets are exposed lazily via :class:`_ArgmaxView`
       instead of materialized per pick.
     """
+    unique = list(dict.fromkeys(items))
+    if len(unique) != len(items):
+        raise QurkError("items must be distinct")
+    if group_size < 2:
+        raise QurkError("group size must be at least 2")
+    if group_size > len(unique):
+        raise QurkError(
+            f"group size {group_size} exceeds item count {len(unique)}"
+        )
+    rng = RandomSource(seed).child("covering-groups")
     n = len(unique)
     index_of = {item: i for i, item in enumerate(unique)}
     partners: list[set[int]] = [

@@ -14,7 +14,7 @@ posting order, votes, and the pinned golden trace are bit-identical to the
 pre-adaptive implementation (``tests/test_adaptive_optimizer.py`` enforces
 this). ``ExecutionConfig.adapt`` overrides the switch per query.
 
-Like the sibling ``REPRO_PIPELINE``/``REPRO_FASTPATH`` toggles, the
+Like the sibling ``REPRO_PIPELINE``/``REPRO_STORE`` toggles, the
 environment variable is re-read by :func:`refresh_from_env` at engine and
 session construction, so exporting it after ``import repro`` still takes
 effect; an unchanged environment leaves programmatic overrides alone.

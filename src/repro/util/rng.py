@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, TypeVar
 
-from repro.util import fastpath
 
 T = TypeVar("T")
 
@@ -38,14 +37,11 @@ def child_seed(seed: int, *labels: object) -> int:
     The derivation hashes the parent seed together with the string forms of
     the labels, so ``child_seed(1, "workers")`` and ``child_seed(1, "latency")``
     are independent, and the mapping is stable across processes (unlike
-    ``hash``, which is salted). On the fast path repeated derivations (the
-    same component rebuilt across experiment variants) are memoized; the
-    mapping itself is identical either way.
+    ``hash``, which is salted). Repeated derivations (the same component
+    rebuilt across experiment variants) are memoized.
     """
     material = ":".join([str(seed), *[str(label) for label in labels]])
-    if fastpath.enabled():
-        return _cached_child_seed(material)
-    return _derive_child_seed(material)
+    return _cached_child_seed(material)
 
 
 def stable_seed(material: str) -> int:
@@ -76,11 +72,8 @@ def child_seed_from_material(material: str) -> int:
 def _zipf_cumulative(n: int, exponent: float) -> tuple[tuple[float, ...], float]:
     """(cumulative Zipfian weights, builtin-``sum`` total).
 
-    The cumulative array accumulates left-to-right like the reference scan
-    so boundary comparisons are bit-identical; the total comes from the
-    builtin ``sum`` because that is what the reference scales the draw by
-    (and ``sum`` of floats is Neumaier-compensated on Python 3.12+, which
-    can differ from the naive running sum by an ulp).
+    The pair :meth:`RandomSource.weighted_index` would build from the
+    Zipfian weight vector (see there for why the total comes from ``sum``).
     """
     weights = [1.0 / (i + 1) ** exponent for i in range(n)]
     return tuple(accumulate(weights)), float(sum(weights))
@@ -178,28 +171,15 @@ class RandomSource:
     def weighted_index(self, weights: Sequence[float]) -> int:
         """Pick an index with probability proportional to ``weights``.
 
-        Consumes exactly one ``random()`` draw. The fast path bisects a
-        cumulative-sum array; because the cumulative sums are accumulated in
-        the same left-to-right order as the reference linear scan, the two
-        implementations select bit-identical indices from the same draw.
+        Consumes exactly one ``random()`` draw, scaled by the builtin-``sum``
+        total, and bisects the left-to-right cumulative sums: the index is
+        the first whose running sum exceeds the draw, as in a linear scan.
+        On Python 3.12+ ``sum`` of floats is Neumaier-compensated and can
+        differ from the last running sum by an ulp, so the total is taken
+        from ``sum`` rather than from the cumulative array.
         """
-        if fastpath.enabled():
-            cumulative = list(accumulate(weights))
-            # The draw is scaled by the builtin-``sum`` total, exactly like
-            # the reference below — on Python 3.12+ ``sum`` of floats is
-            # Neumaier-compensated and can differ from the naive running
-            # sum by an ulp, and the contract is bit-identical selection.
-            return self.weighted_index_cumulative(cumulative, float(sum(weights)))
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must have a positive sum")
-        point = self._random.random() * total
-        acc = 0.0
-        for index, weight in enumerate(weights):
-            acc += weight
-            if point < acc:
-                return index
-        return len(weights) - 1
+        cumulative = list(accumulate(weights))
+        return self.weighted_index_cumulative(cumulative, float(sum(weights)))
 
     def weighted_index_cumulative(
         self, cumulative: Sequence[float], total: float | None = None
@@ -230,13 +210,10 @@ class RandomSource:
 
         Used to model the paper's observation (§3.3.3) that the number of
         tasks completed per worker is roughly Zipfian. The weight vector for
-        each ``(n, exponent)`` is memoized on the fast path.
+        each ``(n, exponent)`` is memoized.
         """
-        if fastpath.enabled():
-            cumulative, total = _zipf_cumulative(n, float(exponent))
-            return self.weighted_index_cumulative(cumulative, total)
-        weights = [1.0 / (i + 1) ** exponent for i in range(n)]
-        return self.weighted_index(weights)
+        cumulative, total = _zipf_cumulative(n, float(exponent))
+        return self.weighted_index_cumulative(cumulative, total)
 
 
 def spawn_rng(seed: int, *labels: object) -> RandomSource:

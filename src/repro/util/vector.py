@@ -1,8 +1,8 @@
 """Global switch for the vectorized (numpy) marketplace dispatch kernel.
 
-Unlike the stream-preserving toggles (:mod:`repro.util.fastpath` and
-friends), the vector kernel cannot replay ``random.Random``'s draw stream —
-numpy's bulk generators produce different bits by construction. The kernel
+Unlike the scalar dispatch loop, the vector kernel cannot replay
+``random.Random``'s draw stream — numpy's bulk generators produce
+different bits by construction. The kernel
 is therefore a *second pinned determinism domain*:
 
 * ``REPRO_VECTOR=0`` (the default) leaves the scalar dispatch paths in
@@ -40,7 +40,7 @@ _OFF_VALUES = ("0", "false", "no", "off")
 
 
 def _parse(raw: str | None) -> bool:
-    # Default OFF: the scalar fast path owns the primary determinism domain.
+    # Default OFF: the scalar dispatch loop owns the primary determinism domain.
     return (raw if raw is not None else "0").lower() not in _OFF_VALUES
 
 

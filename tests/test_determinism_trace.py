@@ -1,15 +1,14 @@
-"""Golden-trace regression: the fast path must not move a single vote.
+"""Golden-trace regression: no change may move a single vote.
 
-The perf overhaul (memoized seed derivation, cumulative-weight sampling,
-Fenwick slot table, lazy HTML, hoisted behaviour loops) promises to be
-*stream-preserving*: for a fixed seed, the emitted per-qid vote stream, the
-virtual clock, and the cost-ledger totals are bit-identical to the seed
-implementation. This module enforces that promise two ways:
+For a fixed seed, the emitted per-qid vote stream, the virtual clock, the
+cost-ledger totals, and the marketplace counters are pinned. This module
+enforces that two ways:
 
-1. against a golden trace (``tests/golden/determinism_trace.json``)
-   captured from the pre-optimization implementation, and
-2. by running the same query with the fast path forced on and off and
-   asserting the two traces are equal.
+1. against a golden trace (``tests/golden/determinism_trace.json``) of the
+   optimized plan at seed 0, compared field by field, and
+2. against digests (``tests/golden/trace_pins.json``, see
+   ``tests/trace_pins.py``) of the unoptimized plan at seeds 0 and 7 and
+   the optimized plan at seed 7, rows included.
 
 If a future PR *must* break the stream (e.g. a semantically different
 sampler), regenerate the golden with
@@ -20,6 +19,7 @@ README.md, "Performance & determinism contract".
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -28,12 +28,34 @@ from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.crowd import SimulatedMarketplace
 from repro.datasets.movie import movie_dataset
-from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.joins.batching import JoinInterface
-from repro.util import fastpath
+from trace_pins import pinned_digest, trace_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace.json"
 VECTOR_GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace_vector.json"
+
+OPTIMIZED_CONFIG = ExecutionConfig(
+    join_interface=JoinInterface.SMART,
+    grid_rows=5,
+    grid_cols=5,
+    use_feature_filters=True,
+    generative_batch_size=5,
+    sort_method="rate",
+    compare_group_size=5,
+    rate_batch_size=5,
+)
+"""The paper's optimized plan: numInScene filter, Smart 5x5 join, Rate sort."""
+
+UNOPTIMIZED_CONFIG = ExecutionConfig(
+    join_interface=JoinInterface.SIMPLE,
+    use_feature_filters=False,
+    generative_batch_size=5,
+    sort_method="compare",
+    compare_group_size=5,
+    rate_batch_size=5,
+)
+"""The unoptimized plan: no feature filter, Simple join, Compare sort."""
 
 
 class RecordingPlatform:
@@ -54,7 +76,13 @@ class RecordingPlatform:
 
 
 def collect_trace(
-    seed: int = 0, through_session: bool = False, faults=None, store=None
+    seed: int = 0,
+    through_session: bool = False,
+    faults=None,
+    store=None,
+    config: ExecutionConfig | None = None,
+    query: str = QUERY_WITH_FILTER,
+    full: bool = False,
 ) -> dict:
     """Run the fixed-seed join + sort query and trace everything observable.
 
@@ -67,21 +95,15 @@ def collect_trace(
     :class:`~repro.crowd.faults.FaultPlan` on the marketplace (a zero-rate
     plan must leave the trace untouched). ``store`` passes a persistent
     answer-store spec through to the facade — under ``REPRO_STORE=0`` a
-    configured store must leave the trace untouched too.
+    configured store must leave the trace untouched too. ``config`` and
+    ``query`` swap in another plan, and ``full`` adds the result rows and
+    every marketplace counter to the trace (the golden records only the row
+    count and four counters).
     """
     data = movie_dataset(seed=seed)
     market = SimulatedMarketplace(data.truth, seed=seed, faults=faults)
     platform = RecordingPlatform(market)
-    config = ExecutionConfig(
-        join_interface=JoinInterface.SMART,
-        grid_rows=5,
-        grid_cols=5,
-        use_feature_filters=True,
-        generative_batch_size=5,
-        sort_method="rate",
-        compare_group_size=5,
-        rate_batch_size=5,
-    )
+    config = config or OPTIMIZED_CONFIG
     if through_session:
         from repro.core.session import EngineSession
 
@@ -89,7 +111,7 @@ def collect_trace(
         session.register_table(data.actors)
         session.register_table(data.scenes)
         session.define(data.task_dsl)
-        handle = session.submit(QUERY_WITH_FILTER)
+        handle = session.submit(query)
         result = session.run()[handle]
         ledger = handle.ledger
     else:
@@ -97,13 +119,13 @@ def collect_trace(
         engine.register_table(data.actors)
         engine.register_table(data.scenes)
         engine.define(data.task_dsl)
-        result = engine.execute(QUERY_WITH_FILTER)
+        result = engine.execute(query)
         ledger = engine.ledger
     votes = []
     for assignment in platform.completed:
         for qid, value in assignment.answers.items():
             votes.append([qid, assignment.worker_id, repr(value)])
-    return {
+    trace = {
         "seed": seed,
         "result_rows": len(result.rows),
         "votes": votes,
@@ -125,50 +147,29 @@ def collect_trace(
             for i in (0, len(platform.completed) // 2, -1)
         ],
     }
+    if full:
+        trace["rows"] = [row.as_dict() for row in result.rows]
+        trace["market_stats"] = asdict(market.stats)
+    return trace
 
 
-@pytest.fixture(scope="module")
-def fast_trace() -> dict:
-    with fastpath.forced(True):
-        return collect_trace(seed=0)
-
-
-def test_fast_path_matches_golden(fast_trace):
-    """Votes, clock, and ledger are bit-identical to the seed implementation."""
+def test_fast_path_matches_golden():
+    """Votes, clock, and ledger are bit-identical to the golden trace."""
+    trace = collect_trace(seed=0)
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert fast_trace["votes"] == golden["votes"]
-    assert fast_trace["clock_seconds"] == golden["clock_seconds"]
-    assert fast_trace["ledger"] == golden["ledger"]
-    assert fast_trace["stats"] == golden["stats"]
-    assert fast_trace["assignment_ids"] == golden["assignment_ids"]
-    assert fast_trace["submit_times"] == golden["submit_times"]
-    assert fast_trace["result_rows"] == golden["result_rows"]
-
-
-def test_reference_path_matches_golden():
-    """The retained reference implementations still reproduce the golden."""
-    with fastpath.forced(False):
-        trace = collect_trace(seed=0)
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert trace == golden
+    assert trace["votes"] == golden["votes"]
+    assert trace["clock_seconds"] == golden["clock_seconds"]
+    assert trace["ledger"] == golden["ledger"]
+    assert trace["stats"] == golden["stats"]
+    assert trace["assignment_ids"] == golden["assignment_ids"]
+    assert trace["submit_times"] == golden["submit_times"]
+    assert trace["result_rows"] == golden["result_rows"]
 
 
 def test_single_query_session_reproduces_golden_trace():
     """A one-query EngineSession is the plain engine, bit for bit: same
     votes, clock, ledger, and marketplace counters as the golden trace."""
     trace = collect_trace(seed=0, through_session=True)
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert trace == golden
-
-
-def test_sortscale_reference_matches_golden():
-    """REPRO_SORTSCALE=0 reverts bit-identically: the golden query's rate
-    sort goes through the same graph/ordering layer entry points, and the
-    reference implementations must reproduce the pinned trace."""
-    from repro.util import sortscale
-
-    with sortscale.forced(False):
-        trace = collect_trace(seed=0)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert trace == golden
 
@@ -227,7 +228,7 @@ def test_zero_rate_fault_plan_matches_golden_with_toggle_forced_on():
 
 def test_vector_disabled_matches_golden():
     """REPRO_VECTOR=0 reverts bit-identically: with the vector kernel off
-    (its default) the scalar fast path runs untouched and the golden query
+    (its default) the scalar dispatch loop runs untouched and the golden query
     reproduces the pinned trace exactly."""
     from repro.util import vector
 
@@ -266,13 +267,24 @@ def test_vector_path_bit_reproducible_run_to_run():
     assert first == second
 
 
-def test_fast_and_reference_agree_on_other_seeds(fast_trace):
-    """Fast vs reference equality on a seed the golden does not cover."""
-    with fastpath.forced(True):
-        fast = collect_trace(seed=7)
-    with fastpath.forced(False):
-        ref = collect_trace(seed=7)
-    assert fast == ref
+def plan_trace(plan: str, seed: int) -> dict:
+    """The full trace, rows included, of the optimized or unoptimized plan."""
+    if plan == "optimized":
+        return collect_trace(seed=seed, full=True)
+    return collect_trace(
+        seed=seed, config=UNOPTIMIZED_CONFIG, query=QUERY_NO_FILTER, full=True
+    )
+
+
+@pytest.mark.parametrize(
+    "plan,seed", [("unoptimized", 0), ("unoptimized", 7), ("optimized", 7)]
+)
+def test_plan_trace_matches_pin(plan, seed):
+    """Rows, votes, clock, ledger, and counters match the pinned digest.
+
+    The unoptimized plan is the only fixed-seed run that drives the
+    join-pair and compare answerers and covering groups end to end."""
+    assert trace_digest(plan_trace(plan, seed)) == pinned_digest(f"{plan}_seed{seed}")
 
 
 def test_reseed_matches_fresh_construction():

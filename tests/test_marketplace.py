@@ -1,11 +1,14 @@
 """Tests for the simulated marketplace."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.crowd import GroundTruth, SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.hits.compiler import HITCompiler
 from repro.hits.hit import HIT, CompareGroup, ComparePayload, FilterPayload, FilterQuestion
+from trace_pins import pinned_digest, trace_digest
 
 
 def filter_hits(n_hits: int, assignments: int = 5, hit_prefix: str = "h") -> list[HIT]:
@@ -22,11 +25,30 @@ def filter_hits(n_hits: int, assignments: int = 5, hit_prefix: str = "h") -> lis
     return hits
 
 
-@pytest.fixture
-def truth() -> GroundTruth:
+def filter_truth() -> GroundTruth:
     t = GroundTruth()
     t.add_filter_task("flt", {f"item{i}": i % 2 == 0 for i in range(50)})
     return t
+
+
+@pytest.fixture
+def truth() -> GroundTruth:
+    return filter_truth()
+
+
+def pinned_dispatch_trace() -> dict:
+    """One 12-HIT filter group on a seed-15 marketplace: every completed
+    assignment, the clock, and every counter."""
+    market = SimulatedMarketplace(filter_truth(), seed=15)
+    assignments = market.post_hit_group(filter_hits(12), "g")
+    return {
+        "assignments": [
+            (a.assignment_id, a.hit_id, a.worker_id, a.answers, a.accept_time, a.submit_time)
+            for a in assignments
+        ],
+        "clock_seconds": market.clock_seconds,
+        "stats": asdict(market.stats),
+    }
 
 
 def test_all_assignments_complete(truth):
@@ -168,18 +190,6 @@ def test_considerations_per_assignment_counts_refusals():
         assert market.stats.considerations_per_assignment > 1.0
 
 
-def test_fast_and_reference_dispatch_agree(truth):
-    """The two dispatch implementations emit identical assignments."""
-    from repro.util import fastpath
-
-    with fastpath.forced(True):
-        fast = SimulatedMarketplace(truth, seed=15).post_hit_group(filter_hits(12), "g")
-    with fastpath.forced(False):
-        ref = SimulatedMarketplace(truth, seed=15).post_hit_group(filter_hits(12), "g")
-    assert [
-        (a.assignment_id, a.hit_id, a.worker_id, a.answers, a.accept_time, a.submit_time)
-        for a in fast
-    ] == [
-        (a.assignment_id, a.hit_id, a.worker_id, a.answers, a.accept_time, a.submit_time)
-        for a in ref
-    ]
+def test_dispatch_matches_pinned_digest():
+    """The dispatch loop reproduces the seed-15 filter group's pinned trace."""
+    assert trace_digest(pinned_dispatch_trace()) == pinned_digest("dispatch_seed15")

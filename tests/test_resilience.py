@@ -3,8 +3,8 @@
 Covers the robustness PR's contract end to end:
 
 * :class:`~repro.crowd.faults.FaultPlan` — validation, determinism of the
-  injected fault overlay (same seed ⇒ same faults, under both dispatch
-  implementations), and inertness of zero-rate plans;
+  injected fault overlay (same seed ⇒ same faults, pinned by digest), and
+  inertness of zero-rate plans;
 * transient platform errors — replayable injection, the Task Manager's
   retry loop, and the circuit breaker;
 * repost recovery — unfilled/abandoned slots reposted with backoff and
@@ -16,6 +16,8 @@ Covers the robustness PR's contract end to end:
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import pytest
 
@@ -39,7 +41,8 @@ from repro.hits.resilience import (
     build_resilience,
     marketplace_faults_active,
 )
-from repro.util import fastpath, resilience
+from repro.util import resilience
+from trace_pins import pinned_digest, trace_digest
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +202,26 @@ def test_fault_overlay_is_deterministic_run_to_run():
     assert traces[0] == traces[1]
 
 
-def test_fault_overlay_identical_under_both_dispatch_implementations():
-    """The overlay draws from the group stream's child, which both the
-    reference and fast dispatch loops share: same faults either way."""
+def pinned_fault_ticket_trace() -> dict:
+    """A seed-7 group under abandonment, spam, and stragglers: the ticket's
+    assignments, fault tally, and finish time, plus every counter."""
     plan = FaultPlan(abandonment_rate=0.3, spam_rate=0.2, straggler_rate=0.2)
-    tickets = {}
-    for flag in (True, False):
-        with fastpath.forced(flag):
-            items, market = make_market(seed=7, faults=plan)
-            _, tickets[flag] = submit_group(market, items)
-    assert tickets[True].assignments == tickets[False].assignments
-    assert tickets[True].faults == tickets[False].faults
-    assert tickets[True].faults.dropped > 0  # the plan actually struck
+    items, market = make_market(seed=7, faults=plan)
+    _, ticket = submit_group(market, items)
+    return {
+        "assignments": ticket.assignments,
+        "faults": ticket.faults,
+        "finish_time": ticket.finish_time,
+        "stats": asdict(market.stats),
+    }
+
+
+def test_fault_overlay_matches_pinned_digest():
+    """The fault overlay and the dispatch loop it rides on reproduce the
+    seed-7 ticket's pinned trace, and the plan actually strikes."""
+    trace = pinned_fault_ticket_trace()
+    assert trace["faults"].dropped > 0
+    assert trace_digest(trace) == pinned_digest("fault_ticket_seed7")
 
 
 def test_abandonment_drops_assignments_and_uncounts_work():

@@ -1,12 +1,13 @@
-"""The REPRO_SORTSCALE equivalence contract.
+"""The sort engine at scale, checked against plain oracles.
 
-The scale-out sort engine promises that, tournament LIMIT path aside,
-every fast implementation is *output-identical* to the reference it
-replaces: same orders, same removed-edge sets, same hybrid repair
-trajectories, bit for bit. These tests enforce that promise on random
-vote corpora with planted cycles (via ``repro.experiments.sort_workload``
-and ad-hoc random tournaments), and pin the LIMIT tournament path's
-row-identity and HIT savings on the steep-latent workload.
+The incremental cycle breaker, the heap topological sort, and the indexed
+confidence-window scorer must be *output-identical* to the straightforward
+algorithms in ``tests/sort_oracle.py``: same orders, same removed-edge
+sets, same hybrid repair trajectories, bit for bit. These tests check that
+on random vote corpora with planted cycles (via
+``repro.experiments.sort_workload`` and ad-hoc random tournaments), and pin
+the LIMIT tournament path's row-identity and HIT savings on the
+steep-latent workload.
 """
 
 from __future__ import annotations
@@ -32,44 +33,39 @@ from repro.sorting.head_to_head import WinCountIndex, head_to_head_order
 from repro.sorting.hybrid import ConfidenceStrategy, HybridSorter
 from repro.sorting.rating import RatingSummary
 from repro.sorting.topk import tournament_top_k
-from repro.util import sortscale
 from repro.util.rng import RandomSource
+
+import sort_oracle
 
 
 # ---------------------------------------------------------------------------
-# Graph layer: orders and removed-edge sets identical under both modes
+# Graph layer: orders and removed-edge sets identical to the oracles
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [12, 40, 80])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_graph_order_identical_under_toggle(n, seed):
+    """The engine's graph order equals the full-Tarjan/Kahn oracle's."""
     items, corpus = comparison_corpus(n, seed=seed)
-    with sortscale.forced(False):
-        reference = graph_order(items, corpus)
-    with sortscale.forced(True):
-        scale = graph_order(items, corpus)
-    assert reference == scale
+    assert graph_order(items, corpus) == sort_oracle.graph_order(items, corpus)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_break_cycles_removed_set_identical(seed):
     items, corpus = comparison_corpus(40, seed=seed)
-    removed = {}
-    final_edges = {}
-    for flag in (False, True):
-        graph = ComparisonGraph.from_votes(items, corpus)
-        with sortscale.forced(flag):
-            removed[flag] = break_cycles(graph)
-        final_edges[flag] = graph.edges
-    assert removed[False], "workload must actually plant cycles"
-    assert set(removed[False]) == set(removed[True])
-    assert final_edges[False] == final_edges[True]
+    oracle_graph = ComparisonGraph.from_votes(items, corpus)
+    graph = ComparisonGraph.from_votes(items, corpus)
+    oracle_removed = sort_oracle.break_cycles(oracle_graph)
+    assert oracle_removed, "workload must actually plant cycles"
+    assert set(break_cycles(graph)) == set(oracle_removed)
+    assert graph.edges == oracle_graph.edges
 
 
 @pytest.mark.parametrize("seed", [2, 9])
 def test_random_tournament_identical_under_toggle(seed):
-    """Dense random tournaments (one giant SCC) — not just windowed ones."""
+    """Dense random tournaments (one giant SCC) — not just windowed ones —
+    break and order exactly like the oracle."""
     rng = RandomSource(seed)
     items = [f"i{k:02d}" for k in range(30)]
     edges = []
@@ -79,17 +75,17 @@ def test_random_tournament_identical_under_toggle(seed):
                 edges.append((items[i], items[j], rng.randint(1, 9)))
             else:
                 edges.append((items[j], items[i], rng.randint(1, 9)))
-    orders = {}
-    removed = {}
-    for flag in (False, True):
+
+    def build() -> ComparisonGraph:
         graph = ComparisonGraph(items)
         for winner, loser, weight in edges:
             graph.add_edge(winner, loser, weight)
-        with sortscale.forced(flag):
-            removed[flag] = set(break_cycles(graph))
-            orders[flag] = topological_order(graph)
-    assert orders[False] == orders[True]
-    assert removed[False] == removed[True]
+        return graph
+
+    oracle_graph, graph = build(), build()
+    oracle_removed = set(sort_oracle.break_cycles(oracle_graph))
+    assert set(break_cycles(graph)) == oracle_removed
+    assert topological_order(graph) == sort_oracle.topological_order(oracle_graph)
 
 
 def test_topological_order_identical_on_sparse_dag():
@@ -102,11 +98,7 @@ def test_topological_order_identical_on_sparse_dag():
             if rng.chance(0.15):
                 for graph in (graph_ref, graph_scale):
                     graph.add_edge(items[j], items[i])
-    with sortscale.forced(False):
-        reference = topological_order(graph_ref)
-    with sortscale.forced(True):
-        scale = topological_order(graph_scale)
-    assert reference == scale
+    assert sort_oracle.topological_order(graph_ref) == topological_order(graph_scale)
 
 
 def test_indexed_graph_structure_matches_reference_semantics():
@@ -177,14 +169,12 @@ def test_hybrid_confidence_trajectories_identical(seed):
                 winners[(a, b)] = a if latents[a] > latents[b] else b
         return winners
 
-    trajectories = {}
-    for flag in (False, True):
-        with sortscale.forced(flag):
-            sorter = HybridSorter(
-                summaries, ConfidenceStrategy(window_size=5), oracle_compare
-            )
-            trajectories[flag] = sorter.run(15)
-    assert trajectories[False] == trajectories[True]
+    def trajectory(strategy):
+        return HybridSorter(summaries, strategy, oracle_compare).run(15)
+
+    assert trajectory(ConfidenceStrategy(window_size=5)) == trajectory(
+        sort_oracle.RecomputingConfidenceStrategy(window_size=5)
+    )
 
 
 def test_win_count_index_matches_head_to_head_order():
@@ -249,9 +239,8 @@ def test_limit_tournament_rows_identical_and_cheaper(direction, labels):
     )
     outcomes = {}
     for flag in (False, True):
-        _, engine = _limit_engine(60)
-        with sortscale.forced(flag):
-            outcomes[flag] = engine.execute(query)
+        _, engine = _limit_engine(60, limit_sort_tournament=flag)
+        outcomes[flag] = engine.execute(query)
     assert outcomes[False].column("squares.label") == labels
     assert (
         outcomes[True].column("squares.label")
@@ -261,20 +250,20 @@ def test_limit_tournament_rows_identical_and_cheaper(direction, labels):
 
 
 def test_limit_tournament_config_override_beats_toggle():
+    """A per-query override beats the engine's configured default."""
     query = (
         "SELECT squares.label FROM squares "
         "ORDER BY squareSorter(img) DESC LIMIT 3"
     )
     _, engine = _limit_engine(40)
-    with sortscale.forced(True):
-        full = engine.execute(
-            query, config=engine.config.with_overrides(limit_sort_tournament=False)
-        )
-    _, engine = _limit_engine(40)
-    with sortscale.forced(False):
-        tournament = engine.execute(
-            query, config=engine.config.with_overrides(limit_sort_tournament=True)
-        )
+    assert engine.config.limit_sort_tournament  # on by default
+    full = engine.execute(
+        query, config=engine.config.with_overrides(limit_sort_tournament=False)
+    )
+    _, engine = _limit_engine(40, limit_sort_tournament=False)
+    tournament = engine.execute(
+        query, config=engine.config.with_overrides(limit_sort_tournament=True)
+    )
     assert tournament.hit_count < full.hit_count
     assert tournament.column("squares.label") == full.column("squares.label")
 
@@ -285,8 +274,7 @@ def test_limit_tournament_records_signals():
         "ORDER BY squareSorter(img) DESC LIMIT 3"
     )
     _, engine = _limit_engine(40)
-    with sortscale.forced(True):
-        result = engine.execute(query)
+    result = engine.execute(query)
     signals = {}
     for stats in result.node_stats.values():
         signals.update(stats.signals)
@@ -305,12 +293,12 @@ def test_limit_hint_not_used_for_rate_sorts():
         data = limit_sort_setup(40)
         market = SimulatedMarketplace(data.truth, seed=0)
         engine = Qurk(
-            platform=market, config=ExecutionConfig(sort_method="rate")
+            platform=market,
+            config=ExecutionConfig(sort_method="rate", limit_sort_tournament=flag),
         )
         engine.register_table(data.table)
         engine.define(data.task_dsl)
-        with sortscale.forced(flag):
-            result = engine.execute(query)
+        result = engine.execute(query)
         hits[flag] = result.hit_count
         assert len(result) == 3
     assert hits[False] == hits[True]

@@ -1,6 +1,6 @@
-"""The REPRO_PIPELINE / REPRO_FASTPATH toggles' environment contract.
+"""The REPRO_* toggles' environment contract.
 
-Both toggles used to read their environment variable once, at import, so
+The toggles used to read their environment variable once, at import, so
 ``os.environ["REPRO_PIPELINE"] = "0"`` after ``import repro`` was silently
 ignored. They now re-read the variable at engine/session construction
 (:func:`refresh_from_env`); a *changed* environment value wins, while an
@@ -18,7 +18,7 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
 from repro.datasets import animals_dataset
-from repro.util import adapt, fastpath, pipeline, resilience, sortscale, store, vector
+from repro.util import adapt, pipeline, resilience, store, vector
 
 
 def _require_unset(var: str) -> str | None:
@@ -34,9 +34,7 @@ def _restore(var: str, previous: str | None) -> None:
     else:
         os.environ[var] = previous
     pipeline.refresh_from_env()
-    fastpath.refresh_from_env()
     adapt.refresh_from_env()
-    sortscale.refresh_from_env()
     resilience.refresh_from_env()
     store.refresh_from_env()
     vector.refresh_from_env()
@@ -86,19 +84,6 @@ def test_pipeline_env_honored_by_session_construction():
         _restore("REPRO_PIPELINE", previous)
 
 
-def test_fastpath_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_FASTPATH")
-    try:
-        os.environ["REPRO_FASTPATH"] = "0"
-        assert fastpath.enabled()
-        animals_engine()
-        assert not fastpath.enabled()
-    finally:
-        _restore("REPRO_FASTPATH", previous)
-    animals_engine()
-    assert fastpath.enabled()
-
-
 def test_adapt_env_set_after_import_takes_effect_at_engine_construction():
     previous = _require_unset("REPRO_ADAPT")
     try:
@@ -116,30 +101,6 @@ def test_adapt_env_set_after_import_takes_effect_at_engine_construction():
         engine.execute("SELECT a.name FROM animals a").adaptive_summary
         is not None
     )
-
-
-def test_sortscale_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_SORTSCALE")
-    try:
-        os.environ["REPRO_SORTSCALE"] = "0"
-        assert sortscale.enabled()  # not yet re-read: construction does that
-        animals_engine()
-        assert not sortscale.enabled()
-    finally:
-        _restore("REPRO_SORTSCALE", previous)
-    animals_engine()
-    assert sortscale.enabled()
-
-
-def test_sortscale_env_honored_by_session_construction():
-    previous = _require_unset("REPRO_SORTSCALE")
-    try:
-        os.environ["REPRO_SORTSCALE"] = "0"
-        data = animals_dataset()
-        EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        assert not sortscale.enabled()
-    finally:
-        _restore("REPRO_SORTSCALE", previous)
 
 
 def test_resilience_env_set_after_import_takes_effect_at_engine_construction():
@@ -343,18 +304,18 @@ def test_refresh_does_not_clobber_programmatic_overrides():
         animals_engine()
         assert not pipeline.enabled()
     assert pipeline.enabled()
-    with fastpath.forced(False):
+    with adapt.forced(False):
         animals_engine()
-        assert not fastpath.enabled()
-    assert fastpath.enabled()
+        assert not adapt.enabled()
+    assert adapt.enabled()
 
 
 def test_env_change_overrides_programmatic_setting():
-    previous = os.environ.get("REPRO_FASTPATH")
+    previous = os.environ.get("REPRO_ADAPT")
     try:
-        fastpath.set_enabled(False)
-        os.environ["REPRO_FASTPATH"] = "1"
-        assert fastpath.refresh_from_env()  # changed env wins
-        assert fastpath.enabled()
+        adapt.set_enabled(False)
+        os.environ["REPRO_ADAPT"] = "1"
+        assert adapt.refresh_from_env()  # changed env wins
+        assert adapt.enabled()
     finally:
-        _restore("REPRO_FASTPATH", previous)
+        _restore("REPRO_ADAPT", previous)
