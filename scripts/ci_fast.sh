@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Six stages, all minutes-not-hours:
+# Seven stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -25,7 +25,10 @@
 #   6. `vector_smoke.py` — the 4x macro under the scalar path vs the
 #      REPRO_VECTOR numpy kernel: cross-domain workload counts within
 #      tolerance and vector run-to-run determinism. Exits 0 with a notice
-#      when numpy ([vector] extra) is not installed.
+#      when numpy ([vector] extra) is not installed;
+#   7. `pytest perfbench/tests` — the benchmark's layer tracer, which
+#      patches engine entry points (`Row.__init__`, `answer_hit`, ...) by
+#      name, so renaming or reshaping one fails here (~2s).
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks/bench_*.py -q` (bench files do not match pytest's
@@ -61,3 +64,4 @@ EOF
 python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
+python -m pytest -q perfbench/tests

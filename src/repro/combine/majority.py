@@ -8,7 +8,6 @@ deterministically by sorted representation so results are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.combine.base import Combiner
@@ -41,6 +40,6 @@ def vote_fractions(votes: Sequence[Vote]) -> dict[object, float]:
     """Share of votes per label (used by agreement metrics and EXPLAIN)."""
     if not votes:
         return {}
-    counts = Counter(vote.value for vote in votes)
-    total = sum(counts.values())
+    counts = count_vote_values(votes)
+    total = len(votes)
     return {value: count / total for value, count in counts.items()}

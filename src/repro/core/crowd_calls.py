@@ -317,30 +317,33 @@ def _combine_generative(
     """Normalize, combine, and index one generative outcome's votes."""
     results: dict[str, dict[str, dict[str, object]]] = {}
     corpora: dict[str, dict[str, list[Vote]]] = {}
+    get_votes = outcome.votes.get
     for name, task in tasks.items():
-        results[name] = {}
+        task_results: dict[str, dict[str, object]] = {}
+        results[name] = task_results
         corpora[name] = {}
+        items = task_items[name]
         for gen_field in task.fields:
+            field_name = gen_field.name
             normalizer = get_normalizer(gen_field.normalizer)
-            field_corpus: dict[str, list[Vote]] = {}
-            for item in task_items[name]:
-                qid = generative_qid(name, item, gen_field.name)
-                votes = outcome.votes.get(qid, [])
-                if gen_field.is_categorical:
-                    normalized = list(votes)
-                else:
-                    normalized = [
+            qids = [generative_qid(name, item, field_name) for item in items]
+            if gen_field.is_categorical:
+                field_corpus = {qid: list(get_votes(qid, ())) for qid in qids}
+            else:
+                field_corpus = {
+                    qid: [
                         Vote(worker_id=v.worker_id, value=normalizer(str(v.value)))
-                        for v in votes
+                        for v in get_votes(qid, ())
                     ]
-                field_corpus[qid] = normalized
+                    for qid in qids
+                }
             combiner = ctx.combiner_for(gen_field.combiner)
             decisions = combine_corpus(
                 combiner, {q: v for q, v in field_corpus.items() if v}
             )
+            item_of = dict(zip(qids, items))
             for qid, value in decisions.items():
-                item = qid.rsplit(":", 1)[0].rsplit(":gen:", 1)[1]
-                results[name].setdefault(item, {})[gen_field.name] = value
+                task_results.setdefault(item_of[qid], {})[field_name] = value
             corpora[name].update(field_corpus)
     return results, outcome, corpora
 

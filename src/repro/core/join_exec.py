@@ -49,6 +49,7 @@ from repro.relational.expressions import (
     feature_equal,
 )
 from repro.relational.rows import Row
+from repro.relational.schema import Schema
 from repro.tasks.registry import ROLE_GENERATIVE, ROLE_JOIN, task_role
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -278,13 +279,12 @@ def _run_feature_extraction(
     # Unary predicates prune one side before the cross product forms.
     for expr, side, call in clauses.unary:
         task = ctx.catalog.task(call.name)
-        results = left_results if side == "left" else right_results
+        results = (left_results if side == "left" else right_results).get(call.name, {})
         refs = left_refs if side == "left" else right_refs
-        kept = []
-        for ref in refs:
-            value = _field_value(task, call, results.get(call.name, {}).get(ref, {}))
-            if value is UNKNOWN or _evaluate_unary(expr, call, value):
-                kept.append(ref)
+        values = [_field_value(task, call, results.get(ref, {})) for ref in refs]
+        kept = [
+            ref for ref, keep in zip(refs, _unary_verdicts(expr, call, values)) if keep
+        ]
         if side == "left":
             left_refs = kept
         else:
@@ -329,6 +329,35 @@ def _field_corpus(corpus: Mapping[str, list], field_name: str) -> dict[str, list
     return {qid: votes for qid, votes in corpus.items() if qid.endswith(suffix) and votes}
 
 
+def _unary_verdicts(
+    expr: Expression, call: UDFCall, values: Sequence[object]
+) -> list[bool]:
+    """Whether each value passes a unary POSSIBLY predicate (UNKNOWN
+    passes, never pruning on a contested label).
+
+    Refs share a handful of labels, so the predicate is evaluated once per
+    distinct value, keyed with its type so that equal values of different
+    types (``1``, ``True``) are evaluated apart. A value that cannot key a
+    dict is evaluated on its own.
+    """
+    verdicts: dict[tuple[type, object], bool] = {}
+    out = []
+    for value in values:
+        if value is UNKNOWN:
+            out.append(True)
+            continue
+        key = (value.__class__, value)
+        try:
+            verdict = verdicts.get(key)
+        except TypeError:  # unhashable value
+            verdict = _evaluate_unary(expr, call, value)
+        else:
+            if verdict is None:
+                verdict = verdicts[key] = _evaluate_unary(expr, call, value)
+        out.append(verdict)
+    return out
+
+
 def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
     """Evaluate a unary POSSIBLY predicate with the call's value substituted."""
 
@@ -342,10 +371,7 @@ def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
         return node
 
     substituted = substitute(expr)
-    from repro.relational.schema import Schema
-
-    empty_row = Row(Schema([]), {})
-    return bool(substituted.evaluate(empty_row, {}))
+    return bool(substituted.evaluate(Row(Schema([]), {}), {}))
 
 
 def _choose_grid_orientation(
@@ -492,10 +518,10 @@ def _run_join_interface(
         from repro.core.cost_model import join_key
 
         ctx.adapt.book.observe(join_key(task.name), len(candidates), len(matches))
-    agreements = [
-        max(sum(1 for v in vs if v.value), sum(1 for v in vs if not v.value)) / len(vs)
-        for vs in corpus.values()
-    ]
+    agreements = []
+    for vs in corpus.values():
+        yes = sum(1 for v in vs if v.value)
+        agreements.append(max(yes, len(vs) - yes) / len(vs))
     if agreements:
         stats.signals["mean_pair_agreement"] = sum(agreements) / len(agreements)
     stats.signals["matches"] = float(len(matches))

@@ -42,10 +42,10 @@ from repro.hits.hit import (
     PickBestPayload,
     RatePayload,
     filter_qid,
-    generative_qid,
     join_qid,
     rate_qid,
 )
+from repro.relational.expressions import UNKNOWN
 from repro.tasks.registry import DispatchTable
 from repro.util.rng import RandomSource
 
@@ -422,47 +422,54 @@ def _answer_generative(
     units: int,
     combined: bool,
 ) -> dict[str, object]:
+    """Answers for every field of every question. Per-field constants (qid
+    suffix, widget kind, options) and the worker's batch-scaled
+    carelessness are hoisted out of the loops."""
     answers: dict[str, object] = {}
+    task_name = payload.task_name
+    fields = [
+        (spec.name, f":{spec.name}", spec.is_categorical, tuple(spec.options))
+        for spec in payload.fields
+    ]
+    careless = worker.error_rate(worker.feature_carelessness, units)
     for question in payload.questions:
-        for spec in payload.fields:
-            qid = generative_qid(payload.task_name, question.item, spec.name)
-            if spec.is_categorical:
+        item = question.item
+        for field_name, suffix, categorical, options in fields:
+            qid = f"{task_name}:gen:{item}{suffix}"
+            if categorical:
                 answers[qid] = _categorical_answer(
-                    worker, payload.task_name, spec, question.item, truth, rng, units, combined
+                    worker, task_name, field_name, options, item, truth, rng,
+                    careless, combined,
                 )
             else:
-                answers[qid] = _text_answer(
-                    worker, payload.task_name, spec.name, question.item, truth, rng
-                )
+                answers[qid] = _text_answer(worker, task_name, field_name, item, truth, rng)
     return answers
 
 
 def _categorical_answer(
     worker: WorkerProfile,
     task_name: str,
-    spec,
+    field_name: str,
+    options: tuple[object, ...],
     item: str,
     truth: GroundTruth,
     rng: RandomSource,
-    units: int,
+    careless: float,
     combined: bool,
 ) -> object:
-    options = list(spec.options)
+    """A Radio answer: spammers pick the first or a random option; careful
+    workers are careless with probability ``careless`` (a uniform option),
+    else draw from the item's cached confusion table with one draw."""
     if worker.is_spammer:
         if worker.spam_style == "first_option" and options:
             return options[0]
         return rng.choice(options) if options else "spam"
-    feature = truth.feature_truth(task_name, spec.name)
-    careless = worker.error_rate(worker.feature_carelessness, units)
+    feature = truth.feature_truth(task_name, field_name)
     if options and rng.chance(careless):
         return rng.choice(options)
-    distribution = feature.answer_distribution(item, combined)
-    labels = list(distribution.keys())
-    weights = [distribution[label] for label in labels]
-    answer = labels[rng.weighted_index(weights)]
+    labels, cumulative, total = feature.answer_table(item, combined)
+    answer = labels[rng.weighted_index_cumulative(cumulative, total)]
     # A small chance of honest uncertainty when UNKNOWN is offered.
-    from repro.relational.expressions import UNKNOWN
-
     if UNKNOWN in options and answer is not UNKNOWN and rng.chance(UNKNOWN_RATE):
         return UNKNOWN
     return answer

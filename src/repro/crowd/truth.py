@@ -13,6 +13,7 @@ and "sort animals by how much they belong on Saturn" (hopeless) differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 from repro.errors import MarketplaceError
@@ -56,6 +57,9 @@ class FeatureTruth:
     options: tuple[object, ...] = ()
     confusion: dict[object, dict[object, float]] = field(default_factory=dict)
     confusion_combined: dict[object, dict[object, float]] = field(default_factory=dict)
+    _tables: dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def answer_distribution(self, item: str, combined: bool) -> dict[object, float]:
         """The careful-worker label distribution for one item."""
@@ -64,6 +68,32 @@ class FeatureTruth:
         if truth in table:
             return dict(table[truth])
         return {truth: 1.0}
+
+    def answer_table(
+        self, item: str, combined: bool
+    ) -> tuple[tuple[object, ...], tuple[float, ...], float]:
+        """:meth:`answer_distribution` as ``(labels, cumulative, total)``.
+
+        ``cumulative`` holds the running left-to-right sums of the weights
+        and ``total`` their builtin-``sum``: the pair
+        :meth:`RandomSource.weighted_index` builds, so drawing with
+        ``weighted_index_cumulative(cumulative, total)`` picks the same label
+        from the same single draw. Tables depend only on the item's true
+        label, so one is built per ``(true label, combined)``; the confusion
+        kernels must not change once answers are drawn.
+        """
+        truth = self.values[item]
+        key = (truth.__class__, truth, combined)
+        table = self._tables.get(key)
+        if table is None:
+            distribution = self.answer_distribution(item, combined)
+            weights = list(distribution.values())
+            table = self._tables[key] = (
+                tuple(distribution),
+                tuple(accumulate(weights)),
+                float(sum(weights)),
+            )
+        return table
 
 
 class GroundTruth:

@@ -628,18 +628,11 @@ class _GenerativePlan(_KindPlan):
         has_unknown = []
         for (qid, feature, item, options), hit_index in zip(self.rows, row_hit_index):
             combined = hits[hit_index].combined_generative
-            distribution = feature.answer_distribution(item, combined)
-            labels = list(distribution.keys())
-            weights = [distribution[label] for label in labels]
-            cums = []
-            running = 0.0
-            for weight in weights:
-                running += weight
-                cums.append(running)
+            labels, cums, _ = feature.answer_table(item, combined)
             qids.append(qid)
             labels_per_row.append(labels)
             cums_per_row.append(cums)
-            totals.append(running)
+            totals.append(cums[-1] if cums else 0.0)
             uidx = -1
             for position, label in enumerate(labels):
                 if label is UNKNOWN:

@@ -475,13 +475,16 @@ class TaskManager:
         outcome.finish_time = finish_time
         votes = outcome.votes
         get_bucket = votes.get
+        # ``tuple.__new__`` builds the same Vote without the NamedTuple's
+        # Python-level ``__new__``: one Vote per answer per assignment.
+        new_tuple = tuple.__new__
         for assignment in outcome.assignments:
             worker_id = assignment.worker_id
             for qid, value in assignment.answers.items():
                 bucket = get_bucket(qid)
                 if bucket is None:
                     bucket = votes[qid] = []
-                bucket.append(Vote(worker_id, value))
+                bucket.append(new_tuple(Vote, (worker_id, value)))
         if strict and outcome.uncompleted_hit_ids:
             if state is None:
                 raise HITUncompletedError(

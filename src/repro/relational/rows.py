@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from repro.errors import SchemaError
-from repro.relational.schema import Schema
+from repro.relational.schema import Column, ColumnType, Schema
 
 
 class Row(Mapping[str, object]):
@@ -18,10 +17,22 @@ class Row(Mapping[str, object]):
 
     __slots__ = ("_schema", "_values")
 
-    def __init__(self, schema: Schema, values: Mapping[str, object]) -> None:
-        schema.validate(dict(values))
+    def __init__(
+        self, schema: Schema, values: Mapping[str, object] | tuple[object, ...]
+    ) -> None:
+        """Bind ``values`` to ``schema``, validating them.
+
+        ``values`` is either a mapping from column name to value (ingest:
+        checked for missing and unknown columns, then types) or a tuple in
+        column order (derived rows: checked for arity, then types).
+        """
+        if isinstance(values, tuple):
+            schema.validate_positional(values)
+        else:
+            schema.validate(dict(values))
+            values = tuple(values[name] for name in schema.names)
         self._schema = schema
-        self._values = tuple(values[name] for name in schema.names)
+        self._values = values
 
     @property
     def schema(self) -> Schema:
@@ -66,33 +77,19 @@ class Row(Mapping[str, object]):
 
     def project(self, names: list[str]) -> "Row":
         """Row restricted to the given columns (new schema)."""
-        schema = self._schema.project(names)
-        return Row(schema, {name: self[name] for name in names})
+        index_of = self._schema.index_of
+        values = tuple(self._values[index_of(name)] for name in names)
+        return Row(self._schema.project(names), values)
 
     def prefixed(self, prefix: str) -> "Row":
         """Row with columns renamed to ``prefix.name`` (alias binding)."""
-        schema = self._schema.prefixed(prefix)
-        values = {
-            f"{prefix}.{name}": value
-            for name, value in zip(self._schema.names, self._values)
-        }
-        return Row(schema, values)
+        return Row(self._schema.prefixed(prefix), self._values)
 
     def merged(self, other: "Row") -> "Row":
         """Row with this row's columns followed by ``other``'s (join output)."""
-        overlap = set(self._schema.names) & set(other.schema.names)
-        if overlap:
-            raise SchemaError(f"cannot merge rows sharing columns {sorted(overlap)}")
-        schema = self._schema.concat(other.schema)
-        values = self.as_dict()
-        values.update(other.as_dict())
-        return Row(schema, values)
+        return Row(self._schema.concat(other._schema), self._values + other._values)
 
     def extended(self, name: str, value: object) -> "Row":
         """Row with one extra ``any``-typed column appended."""
-        from repro.relational.schema import Column, ColumnType
-
         schema = self._schema.extended(Column(name, ColumnType.ANY))
-        values = self.as_dict()
-        values[name] = value
-        return Row(schema, values)
+        return Row(schema, (*self._values, value))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import SchemaError
 
@@ -31,17 +31,21 @@ class ColumnType(enum.Enum):
 
     def accepts(self, value: object) -> bool:
         """Whether ``value`` conforms to this column type (None is allowed)."""
-        if value is None or self is ColumnType.ANY:
-            return True
-        if self is ColumnType.TEXT or self is ColumnType.URL:
-            return isinstance(value, str)
-        if self is ColumnType.INTEGER:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is ColumnType.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is ColumnType.BOOLEAN:
-            return isinstance(value, bool)
-        raise AssertionError(f"unhandled column type {self}")
+        return _ACCEPTS[self](value)
+
+
+_ACCEPTS: dict[ColumnType, Callable[[object], bool]] = {
+    ColumnType.TEXT: lambda value: value is None or isinstance(value, str),
+    ColumnType.URL: lambda value: value is None or isinstance(value, str),
+    ColumnType.INTEGER: lambda value: value is None
+    or (isinstance(value, int) and not isinstance(value, bool)),
+    ColumnType.FLOAT: lambda value: value is None
+    or (isinstance(value, (int, float)) and not isinstance(value, bool)),
+    ColumnType.BOOLEAN: lambda value: value is None or isinstance(value, bool),
+    ColumnType.ANY: lambda value: True,
+}
+"""Per column type, the check :meth:`ColumnType.accepts` applies; schemas
+hold their columns' checks to validate rows without the enum dispatch."""
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,23 @@ class Schema:
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
-        names = [column.name for column in self.columns]
-        duplicates = {name for name in names if names.count(name) > 1}
-        if duplicates:
+        self.names: tuple[str, ...] = tuple(column.name for column in self.columns)
+        """Column names in declaration order."""
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) != len(self.names):
+            names = self.names
+            duplicates = {name for name in names if names.count(name) > 1}
             raise SchemaError(f"duplicate column names: {sorted(duplicates)}")
-        self._index = {column.name: i for i, column in enumerate(self.columns)}
+        # (position, column, type check) of every column whose type
+        # constrains values.
+        self._typed = tuple(
+            (i, column, _ACCEPTS[column.type])
+            for i, column in enumerate(self.columns)
+            if column.type is not ColumnType.ANY
+        )
+        self._hash: int | None = None
+        # Derived schemas, memoized so row derivations build each one once.
+        self._derived: dict[tuple, "Schema"] = {}
 
     @classmethod
     def of(cls, *specs: str) -> "Schema":
@@ -93,11 +109,6 @@ class Schema:
                 raise SchemaError(f"bad column spec {spec!r}; want 'name [type]'")
         return cls(columns)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Column names in declaration order."""
-        return tuple(column.name for column in self.columns)
-
     def __len__(self) -> int:
         return len(self.columns)
 
@@ -111,7 +122,10 @@ class Schema:
         return isinstance(other, Schema) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        # Cached: derived schemas are memoized in dicts keyed by schema.
+        if self._hash is None:
+            self._hash = hash(self.columns)
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self.columns)
@@ -119,21 +133,29 @@ class Schema:
 
     def column(self, name: str) -> Column:
         """The column with the given name; raises :class:`SchemaError`."""
+        return self.columns[self.index_of(name)]
+
+    def index_of(self, name: str) -> int:
+        """Position of the named column; raises :class:`SchemaError`."""
         try:
-            return self.columns[self._index[name]]
+            return self._index[name]
         except KeyError as exc:
             raise SchemaError(
                 f"no column {name!r}; have {list(self.names)}"
             ) from exc
 
-    def index_of(self, name: str) -> int:
-        """Position of the named column."""
-        self.column(name)
-        return self._index[name]
+    def _memo(self, key: tuple, build) -> "Schema":
+        schema = self._derived.get(key)
+        if schema is None:
+            schema = self._derived[key] = build()
+        return schema
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Schema containing only the given columns, in the given order."""
-        return Schema([self.column(name) for name in names])
+        names = tuple(names)
+        return self._memo(
+            ("project", names), lambda: Schema([self.column(name) for name in names])
+        )
 
     def prefixed(self, prefix: str) -> "Schema":
         """Schema with every column renamed to ``prefix.name``.
@@ -141,17 +163,30 @@ class Schema:
         Used when binding a table under an alias so join outputs keep both
         sides' columns addressable (``c.img``, ``p.img``).
         """
-        return Schema(
-            [column.renamed(f"{prefix}.{column.name}") for column in self.columns]
+        return self._memo(
+            ("prefixed", prefix),
+            lambda: Schema(
+                [column.renamed(f"{prefix}.{column.name}") for column in self.columns]
+            ),
         )
 
     def concat(self, other: "Schema") -> "Schema":
-        """Schema with this schema's columns followed by ``other``'s."""
+        """Schema with this schema's columns followed by ``other``'s.
+
+        Raises :class:`SchemaError` naming the shared columns if the two
+        schemas overlap (a join of two sides bound under the same alias).
+        """
+        return self._memo(("concat", other), lambda: self._concat(other))
+
+    def _concat(self, other: "Schema") -> "Schema":
+        overlap = set(self.names) & set(other.names)
+        if overlap:
+            raise SchemaError(f"cannot merge rows sharing columns {sorted(overlap)}")
         return Schema([*self.columns, *other.columns])
 
     def extended(self, column: Column) -> "Schema":
         """Schema with one extra column appended."""
-        return Schema([*self.columns, column])
+        return self._memo(("extended", column), lambda: Schema([*self.columns, column]))
 
     def validate(self, values: dict[str, object]) -> None:
         """Check that ``values`` binds exactly this schema's columns with
@@ -162,10 +197,27 @@ class Schema:
         extra = [name for name in values if name not in self._index]
         if extra:
             raise SchemaError(f"row has unknown columns {sorted(extra)}")
-        for column in self.columns:
+        for _, column, accepts in self._typed:
             value = values[column.name]
-            if not column.type.accepts(value):
-                raise SchemaError(
-                    f"column {column.name!r} expects {column.type.value}, "
-                    f"got {value!r} ({type(value).__name__})"
-                )
+            if not accepts(value):
+                raise _type_error(column, value)
+
+    def validate_positional(self, values: tuple) -> None:
+        """Check that ``values`` holds one type-conforming value per column,
+        in column order; raises :class:`SchemaError` otherwise."""
+        if len(values) != len(self.columns):
+            raise SchemaError(
+                f"row has {len(values)} values for {len(self.columns)} columns "
+                f"{list(self.names)}"
+            )
+        for i, column, accepts in self._typed:
+            value = values[i]
+            if not accepts(value):
+                raise _type_error(column, value)
+
+
+def _type_error(column: Column, value: object) -> SchemaError:
+    return SchemaError(
+        f"column {column.name!r} expects {column.type.value}, "
+        f"got {value!r} ({type(value).__name__})"
+    )

@@ -7,6 +7,8 @@ import pytest
 from repro.crowd.behavior import answer_hit, answer_payload
 from repro.crowd.truth import FeatureTruth, GroundTruth
 from repro.crowd.worker import WorkerProfile, make_reliable, make_spammer
+from repro.datasets import celebrity_dataset, movie_dataset
+from repro.datasets.movie import FILTER_TASK as MOVIE_FILTER_TASK
 from repro.hits.hit import (
     HIT,
     CompareGroup,
@@ -250,3 +252,42 @@ def test_answer_hit_covers_all_payloads(truth, reliable):
     answers = answer_hit(reliable, hit, truth, RandomSource(23))
     assert "flt:filter:a" in answers
     assert "rank:rate:i0" in answers
+
+
+def _dataset_feature_truths() -> list[FeatureTruth]:
+    movie = movie_dataset(0, 1)
+    celebs = celebrity_dataset(seed=0)
+    return [
+        movie.truth.feature_truth(MOVIE_FILTER_TASK, "value"),
+        *(
+            celebs.truth.feature_truth(task, "value")
+            for task in ("gender", "hairColor", "skinColor")
+        ),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 97])
+def test_answer_table_draws_like_weighted_index(seed):
+    for feature in _dataset_feature_truths():
+        for item in feature.values:
+            for combined in (False, True):
+                distribution = feature.answer_distribution(item, combined)
+                labels, cumulative, total = feature.answer_table(item, combined)
+                assert labels == tuple(distribution)
+                cached, reference = RandomSource(seed), RandomSource(seed)
+                for _ in range(8):
+                    assert cached.weighted_index_cumulative(
+                        cumulative, total
+                    ) == reference.weighted_index(list(distribution.values()))
+                # Both consumed the same number of draws.
+                assert cached.random() == reference.random()
+
+
+def test_answer_table_is_shared_per_true_label():
+    feature = FeatureTruth(
+        values={"a": "red", "b": "red", "c": "blue"},
+        confusion={"red": {"red": 0.8, "blue": 0.2}},
+    )
+    assert feature.answer_table("a", False) is feature.answer_table("b", False)
+    assert feature.answer_table("a", False) is not feature.answer_table("a", True)
+    assert feature.answer_table("c", False) == (("blue",), (1.0,), 1.0)

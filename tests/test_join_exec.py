@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import join_exec
 from repro.core.context import ExecutionConfig
 from repro.core.executor import run_plan
 from repro.core.optimizer import optimize
@@ -10,6 +11,7 @@ from repro.errors import PlanError
 from repro.joins.batching import JoinInterface
 from repro.language.parser import parse_query
 from repro.datasets import celebrity_dataset, movie_dataset
+from repro.relational.expressions import UNKNOWN, ColumnRef, Comparison, Literal, UDFCall
 
 from tests.conftest import make_context
 
@@ -144,3 +146,41 @@ def test_rank_task_rejected_as_possibly():
     query = JOIN + " AND POSSIBLY rk(c.img) = rk(p.img)"
     with pytest.raises(PlanError):
         run_query(ctx, query)
+
+
+
+def _num_in_scene_predicate(literal):
+    call = UDFCall("numInScene", (ColumnRef("img", "s"),))
+    return Comparison("=", call, Literal(literal)), call
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The values ``_evaluate_unary`` is called with, in call order."""
+    seen = []
+    original = join_exec._evaluate_unary
+
+    def counting(expr, call, value):
+        seen.append(value)
+        return original(expr, call, value)
+
+    monkeypatch.setattr(join_exec, "_evaluate_unary", counting)
+    return seen
+
+
+def test_unary_verdicts_match_per_ref_evaluation(evaluated):
+    expr, call = _num_in_scene_predicate(1)
+    values = [1, 2, 1, UNKNOWN, 0, 1, 2, True, 1.0, "1", 3, 1]
+    expected = [v is UNKNOWN or join_exec._evaluate_unary(expr, call, v) for v in values]
+    evaluated.clear()
+    assert join_exec._unary_verdicts(expr, call, values) == expected
+    # Once per distinct (type, value): 1, 2, 0, True, 1.0, "1", 3.
+    assert evaluated == [1, 2, 0, True, 1.0, "1", 3]
+
+
+def test_unary_verdicts_unhashable_values_fall_back(evaluated):
+    expr, call = _num_in_scene_predicate([1])
+    values = [[1], [2], [1], 1]
+    assert join_exec._unary_verdicts(expr, call, values) == [True, False, True, False]
+    # Every unhashable value is evaluated on its own.
+    assert evaluated == values

@@ -58,8 +58,9 @@ def test_merged(row):
 
 
 def test_merged_overlap_fails(row):
-    with pytest.raises(SchemaError):
-        row.merged(Row(Schema.of("name text"), {"name": "x"}))
+    for _ in range(2):  # the check is not skipped once it has run
+        with pytest.raises(SchemaError, match="cannot merge rows sharing columns"):
+            row.merged(Row(Schema.of("name text"), {"name": "x"}))
 
 
 def test_extended(row):
@@ -72,3 +73,31 @@ def test_as_dict_is_copy(row):
     d = row.as_dict()
     d["name"] = "changed"
     assert row["name"] == "ada"
+
+
+def test_tuple_values_build_the_same_row(row):
+    positional = Row(row.schema, ("ada", "img://1"))
+    assert positional == row
+    assert hash(positional) == hash(row)
+
+
+def test_tuple_values_wrong_arity_fails(row):
+    with pytest.raises(SchemaError, match="2 columns"):
+        Row(row.schema, ("ada",))
+    with pytest.raises(SchemaError):
+        Row(row.schema, ("ada", "img://1", "extra"))
+
+
+def test_tuple_values_badly_typed_fails():
+    schema = Schema.of("name text", "n integer")
+    with pytest.raises(SchemaError, match="expects integer"):
+        Row(schema, ("ada", "seven"))
+    with pytest.raises(SchemaError, match="expects text"):
+        Row(schema, (7, 7))
+
+
+def test_tuple_values_any_columns_accept_anything():
+    schema = Schema.of("blob", "n integer")
+    for value in (object(), [1, 2], None, "text", 3.5):
+        assert Row(schema, (value, 1))["blob"] is value
+

@@ -77,8 +77,10 @@ def test_concat_and_extended():
 
 
 def test_concat_duplicate_fails():
-    with pytest.raises(SchemaError):
-        Schema.of("a").concat(Schema.of("a"))
+    left = Schema.of("a", "b")
+    for _ in range(2):  # a failed concatenation is not memoized
+        with pytest.raises(SchemaError, match="cannot merge rows sharing columns"):
+            left.concat(Schema.of("b"))
 
 
 def test_index_of_and_contains():
@@ -93,3 +95,21 @@ def test_equality_and_hash():
     assert Schema.of("a integer") == Schema.of("a integer")
     assert Schema.of("a integer") != Schema.of("a text")
     assert hash(Schema.of("a")) == hash(Schema.of("a"))
+
+
+def test_names_is_cached():
+    schema = Schema.of("a", "b")
+    assert schema.names is schema.names
+
+
+def test_derived_schemas_are_memoized():
+    left = Schema.of("a text")
+    right = Schema.of("b integer")
+    assert left.prefixed("x") is left.prefixed("x")
+    assert left.prefixed("x") is not left.prefixed("y")
+    assert left.concat(right) is left.concat(right)
+    # An equal but distinct schema finds the same cached concatenation.
+    assert left.concat(Schema.of("b integer")) is left.concat(right)
+    assert left.project(["a"]) is left.project(("a",))
+    assert left.extended(Column("c")) is left.extended(Column("c"))
+
