@@ -38,6 +38,7 @@ from repro.experiments.sort_workload import (
     limit_sort_setup,
 )
 from repro.sorting.graph import ComparisonGraph, break_cycles, graph_order
+from repro.util.gcpause import paused_gc
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_sort.json"
 
@@ -57,17 +58,12 @@ def _best_of(thunk, repeats: int) -> float:
     ``scripts/profile_hotpath.py``: process time is immune to preemption,
     GC pauses are bimodal noise bigger than the margins measured here)."""
     best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         for _ in range(max(1, repeats)):
             gc.collect()
             start = time.process_time()
             thunk()
             best = min(best, time.process_time() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return best
 
 

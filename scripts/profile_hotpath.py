@@ -83,6 +83,7 @@ from repro.joins.batching import JoinInterface
 from repro.util import adapt
 from repro.util import pipeline
 from repro.util import resilience
+from repro.util.gcpause import paused_gc
 
 CHECK_TOP_N = 5
 FORBIDDEN_IN_TOP = ("child_seed", "payload_cache_key")
@@ -151,9 +152,7 @@ def _interleaved_best_of(modes, repeats: int) -> dict[str, float]:
     import gc
 
     timings = {label: float("inf") for label, _ in modes}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         for _ in range(max(1, repeats)):
             for label, thunk in modes:
                 gc.collect()
@@ -162,9 +161,6 @@ def _interleaved_best_of(modes, repeats: int) -> dict[str, float]:
                 timings[label] = min(
                     timings[label], time.process_time() - start
                 )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return timings
 
 
@@ -321,9 +317,7 @@ def check_session_throughput(seed: int, repeats: int) -> dict | None:
     # *outside* the timed region (matching the recorded baseline's
     # semantics), which is why this check cannot share _interleaved_best_of.
     timings = {"serial": float("inf"), "concurrent": float("inf")}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         for _ in range(max(1, repeats)):
             for concurrent, label in ((False, "serial"), (True, "concurrent")):
                 session, _, _ = build_session(
@@ -333,9 +327,6 @@ def check_session_throughput(seed: int, repeats: int) -> dict | None:
                 start = time.process_time()
                 session.run(concurrent=concurrent)
                 timings[label] = min(timings[label], time.process_time() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     ratio = (
         timings["concurrent"] / timings["serial"] if timings["serial"] > 0 else 0.0
     )

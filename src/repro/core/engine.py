@@ -43,6 +43,7 @@ from repro.util import pipeline as pipeline_toggle
 from repro.util import resilience as resilience_toggle
 from repro.util import store as store_toggle
 from repro.util import vector as vector_toggle
+from repro.util.gcpause import paused_gc
 
 
 _STORE_COUNTERS = (
@@ -373,7 +374,8 @@ class Qurk:
                 name: getattr(live_stats, name, 0) for name in _FAULT_COUNTERS
             }
         try:
-            rows = run_plan(plan, ctx)
+            with paused_gc():
+                rows = run_plan(plan, ctx)
         except (BudgetExceededError, MarketplaceError) as exc:
             # Graceful query-level degradation: with the resilience layer
             # armed, a budget/platform failure completes the query with

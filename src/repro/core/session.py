@@ -89,6 +89,7 @@ from repro.util import pipeline as pipeline_toggle
 from repro.util import resilience as resilience_toggle
 from repro.util import store as store_toggle
 from repro.util import vector as vector_toggle
+from repro.util.gcpause import paused_gc
 
 
 _SESSION_FAULT_COUNTERS = (
@@ -370,6 +371,7 @@ class EngineSession:
 
     # -- execution ------------------------------------------------------
 
+    @paused_gc()
     def run(self, concurrent: bool = True) -> SessionResult:
         """Execute every submitted query; never raises for per-query
         failures (they land on the handles / ``SessionResult.errors``)."""

@@ -26,6 +26,7 @@ from repro.crowd import SimulatedMarketplace
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_WITH_FILTER
 from repro.joins.batching import JoinInterface
+from repro.util.gcpause import paused_gc
 
 
 def store_config() -> ExecutionConfig:
@@ -88,9 +89,7 @@ def measure_cold_warm(
     base = Path(base_dir)
     run_once(base / "warmup.db", seed=seed, data=data)  # untimed warm-up
     timings = {"cold": float("inf"), "warm": float("inf")}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         for i in range(max(1, repeats)):
             path = base / f"restart-{i}.db"
             for label in ("cold", "warm"):
@@ -100,9 +99,6 @@ def measure_cold_warm(
                 timings[label] = min(
                     timings[label], time.process_time() - start
                 )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     ratio = timings["warm"] / timings["cold"] if timings["cold"] > 0 else 0.0
     return {
         "repeats": repeats,

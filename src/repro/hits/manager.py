@@ -128,12 +128,14 @@ class BatchOutcome:
 
     def merge(self, other: "BatchOutcome") -> None:
         """Fold another round's results into this one (serial phases)."""
+        # A round with no HITs posted nothing, so its post time says
+        # nothing; the first round with HITs sets this outcome's post time.
+        if other.hits and (not self.hits or other.post_time < self.post_time):
+            self.post_time = other.post_time
         self.hits.extend(other.hits)
         self.assignments.extend(other.assignments)
         for qid, votes in other.votes.items():
             self.votes.setdefault(qid, []).extend(votes)
-        if not self.hits or other.post_time < self.post_time:
-            self.post_time = min(self.post_time, other.post_time)
         self.finish_time = max(self.finish_time, other.finish_time)
         self.uncompleted_hit_ids.extend(other.uncompleted_hit_ids)
 

@@ -45,9 +45,9 @@ def rules_of(findings):
 # ---------------------------------------------------------------------------
 
 
-def test_registry_has_the_eleven_rules():
+def test_registry_has_the_twelve_rules():
     rules = load_rules()
-    assert sorted(rules) == [f"RL{n:03d}" for n in range(1, 12)]
+    assert sorted(rules) == [f"RL{n:03d}" for n in range(1, 13)]
     for rule in rules.values():
         assert rule.title and rule.rationale
 
@@ -441,6 +441,57 @@ def test_rl011_allows_single_class_checks_and_registry():
     )
     assert lint_source(ladder, "src/repro/tasks/registry.py") == []
     assert lint_source(ladder, "tests/test_something.py") == []
+
+
+# ---------------------------------------------------------------------------
+# RL012 — switching the garbage collector outside repro.util.gcpause
+# ---------------------------------------------------------------------------
+
+HAND_ROLLED_PAUSE = (
+    "import gc\n"
+    "def timed(run):\n"
+    "    was_enabled = gc.isenabled()\n"
+    "    gc.disable()\n"
+    "    try:\n"
+    "        gc.collect()\n"
+    "        run()\n"
+    "    finally:\n"
+    "        if was_enabled:\n"
+    "            gc.enable()\n"
+)
+
+
+def test_rl012_flags_a_hand_rolled_pause_everywhere():
+    for path in (ENGINE_PATH, SRC_PATH, UTIL_PATH, "tests/test_something.py"):
+        findings = lint_source(HAND_ROLLED_PAUSE, path)
+        assert rules_of(findings) == ["RL012", "RL012"]
+    assert "gc.disable()" in lint_source(HAND_ROLLED_PAUSE, SRC_PATH)[0].message
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import gc\ngc.set_threshold(0)\n",
+        "import gc\ngc.freeze()\n",
+        "import gc as collector\ncollector.disable()\n",
+        "from gc import enable\nenable()\n",
+    ],
+)
+def test_rl012_flags_every_switch_and_import_form(snippet):
+    assert rules_of(lint_source(snippet, SRC_PATH)) == ["RL012"]
+
+
+def test_rl012_allows_gcpause_and_collector_queries():
+    assert lint_source(HAND_ROLLED_PAUSE, "src/repro/util/gcpause.py") == []
+    src = (
+        "import gc\n"
+        "def drain():\n"
+        "    gc.collect()\n"
+        "    return gc.isenabled(), gc.get_count()\n"
+        "def other(pool):\n"
+        "    pool.disable()\n"
+    )
+    assert lint_source(src, SRC_PATH) == []
 
 
 # ---------------------------------------------------------------------------

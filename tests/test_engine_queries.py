@@ -258,3 +258,32 @@ def test_engine_explain_without_execution():
         "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
     )
     assert "Scan(squares" in text
+
+
+def test_crowd_filter_elapsed_is_relative_to_its_own_posting():
+    """A later query's filter node times from its own post, not from t=0."""
+    from repro.crowd import GroundTruth
+    from repro.relational.schema import Schema
+    from repro.relational.table import Table
+
+    truth = GroundTruth()
+    truth.add_filter_task(
+        "isEven", {f"img://item/{i}": i % 2 == 0 for i in range(20)}
+    )
+    table = Table("t", Schema.of("id integer", "img url"))
+    for i in range(20):
+        table.insert({"id": i, "img": f"img://item/{i}"})
+    engine = Qurk(platform=SimulatedMarketplace(truth, seed=0))
+    engine.register_table(table)
+    engine.define(
+        "TASK isEven(field) TYPE Filter:\n"
+        "    Prompt: \"<img src='%s'>\", tuple[field]\n"
+    )
+    engine.execute("SELECT t.id FROM t WHERE isEven(t.img)")
+    second = engine.execute("SELECT t.id FROM t WHERE isEven(t.img)")
+    (crowd_filter,) = [
+        stats
+        for stats in second.node_stats.values()
+        if stats.label.startswith("CrowdFilter")
+    ]
+    assert 0.0 < crowd_filter.elapsed_seconds <= second.elapsed_seconds

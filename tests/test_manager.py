@@ -112,3 +112,23 @@ def test_outcome_merge():
     a.merge(b)
     assert len(a.votes["q"]) == 2
     assert a.finish_time == 9.0
+
+
+def test_outcome_merge_takes_post_time_from_the_first_round_with_hits(manager):
+    from repro.hits.manager import BatchOutcome
+
+    manager.platform.advance_clock(100.0)
+    first = manager.run_units(filter_units(4), batch_size=2, assignments=3)
+    second = manager.run_units(filter_units(8)[4:], batch_size=2, assignments=3)
+    assert 100.0 <= first.post_time < second.post_time
+
+    total = BatchOutcome()
+    total.merge(BatchOutcome(post_time=500.0))  # no HITs: posted nothing
+    assert total.post_time == 0.0
+    total.merge(second)
+    assert total.post_time == second.post_time
+    total.merge(first)
+    assert total.post_time == first.post_time
+    total.merge(BatchOutcome(post_time=1.0))
+    assert total.post_time == first.post_time
+    assert total.elapsed_seconds == second.finish_time - first.post_time
