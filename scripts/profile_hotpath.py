@@ -18,27 +18,26 @@ is blown:
    depth-first interpreter's by more than 5% — the scheduler's queue and
    bookkeeping machinery started taxing the path it is supposed to merely
    re-time. Both modes run the same macro in-process (best of
-   ``--check-repeats``) and the measurement is appended to
-   ``benchmarks/BENCH_pipeline.json`` under ``ci_check``;
+   ``--check-repeats``) and the measurement is written to
+   ``.ci_check/BENCH_pipeline.json``;
 3. the 8-query session's wall-clock throughput regresses more than 5%
    against the ratio recorded in ``benchmarks/BENCH_session.json`` — the
    session loop's round-robin bookkeeping started costing real time over
    running the same queries serially. The comparison is the
    concurrent/serial wall *ratio* (machine-independent), measured
-   in-process with the same hygiene as the pipeline check and appended to
-   ``BENCH_session.json`` under ``ci_check``;
+   in-process with the same hygiene as the pipeline check and written to
+   ``.ci_check/BENCH_session.json``;
 4. the adaptive optimizer's wall-clock on the macro workload exceeds the
    static rewriter's (``REPRO_ADAPT=0``) by more than 5% — the
    plan-fusion, cost-model, and selectivity-book machinery started
    taxing queries it has nothing to adapt. Same interleaved best-of
-   measurement; the result is appended to ``benchmarks/BENCH_adaptive.json``
-   under ``ci_check``;
+   measurement; the result is written to ``.ci_check/BENCH_adaptive.json``;
 5. the resilience layer's fault-free macro wall-clock exceeds the
    ``REPRO_RESILIENCE=0`` baseline's by more than 5% — the retry/repost
    machinery is gated off entirely on marketplaces without a fault plan,
    so any measurable overhead means the gate leaked onto the dispatch
-   path. Same interleaved best-of measurement; the result is appended to
-   ``benchmarks/BENCH_resilience.json`` under ``ci_check``;
+   path. Same interleaved best-of measurement; the result is written to
+   ``.ci_check/BENCH_resilience.json``;
 6. the persistent answer store's warm/cold wall ratio regresses more than
    5% against the one recorded in ``benchmarks/BENCH_store.json`` (written
    by ``benchmarks/bench_store.py``) — the warm run is pure store-read
@@ -46,16 +45,20 @@ is blown:
    ratio means disk reuse started costing real time against the crowd
    work it replaces. Measured via the shared
    ``repro.experiments.store_workload.measure_cold_warm`` smoke (best-of
-   CPU, GC paused, fresh store file per repeat) and appended to
-   ``BENCH_store.json`` under ``ci_check``;
+   CPU, GC paused, fresh store file per repeat) and written to
+   ``.ci_check/BENCH_store.json``;
 7. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar
    path on the 4x macro regresses more than 5% over the ratio recorded in
    ``benchmarks/BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``,
    written by ``benchmarks/bench_perf_hotpath.py``) — the numpy batch
    kernel stopped paying for its round bookkeeping. Skipped with a warning
    when numpy (the ``[vector]`` extra) is missing or no baseline has been
-   recorded; otherwise measured interleaved best-of and appended to
-   ``BENCH_perf_hotpath.json`` under ``ci_check``.
+   recorded; otherwise measured interleaved best-of and written to
+   ``.ci_check/BENCH_perf_hotpath.json``.
+
+Check reports go to the gitignored ``.ci_check/`` directory, one JSON per
+bench file a check compares against; the tracked ``benchmarks/BENCH_*.json``
+recordings (including their committed ``ci_check`` blocks) are only read.
 
 ``--check-store`` runs only check 6 (no profiling, no macro sweeps) — the
 fast lane ``scripts/ci_fast.sh`` uses it alongside the ``-m "not slow"``
@@ -105,6 +108,7 @@ BENCH_STORE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_store.js
 BENCH_PERF_PATH = (
     Path(__file__).parent.parent / "benchmarks" / "BENCH_perf_hotpath.json"
 )
+CI_CHECK_DIR = Path(__file__).parent.parent / ".ci_check"
 
 
 def run_workload(scale: int = 1, seed: int = 0) -> None:
@@ -164,12 +168,17 @@ def _interleaved_best_of(modes, repeats: int) -> dict[str, float]:
     return timings
 
 
-def _append_ci_check(path: Path, report: dict) -> None:
-    """Record a check's measurement under ``ci_check`` in a bench JSON."""
+def _record_ci_check(path: Path, report: dict) -> None:
+    """Write a check's measurement to ``.ci_check/<bench file name>``.
+
+    The report goes to a gitignored directory, never into the tracked
+    bench JSON it was checked against, so a check run leaves the
+    committed recordings untouched.
+    """
+    target = CI_CHECK_DIR / path.name
     try:
-        recorded = json.loads(path.read_text()) if path.exists() else {}
-        recorded["ci_check"] = report
-        path.write_text(json.dumps(recorded, indent=1))
+        CI_CHECK_DIR.mkdir(exist_ok=True)
+        target.write_text(json.dumps(report, indent=1))
     except OSError as exc:  # CI sandboxes may mount the repo read-only
         print(f"warning: could not record ci_check results: {exc}", file=sys.stderr)
 
@@ -226,7 +235,7 @@ def check_pipeline_overhead(scale: int, seed: int, repeats: int) -> dict:
         repeats,
         PIPELINE_OVERHEAD_LIMIT,
     )
-    _append_ci_check(BENCH_PIPELINE_PATH, report)
+    _record_ci_check(BENCH_PIPELINE_PATH, report)
     return report
 
 
@@ -247,7 +256,7 @@ def check_adaptive_overhead(scale: int, seed: int, repeats: int) -> dict:
         repeats,
         ADAPTIVE_OVERHEAD_LIMIT,
     )
-    _append_ci_check(BENCH_ADAPTIVE_PATH, report)
+    _record_ci_check(BENCH_ADAPTIVE_PATH, report)
     return report
 
 
@@ -268,7 +277,7 @@ def check_resilience_overhead(scale: int, seed: int, repeats: int) -> dict:
         repeats,
         RESILIENCE_OVERHEAD_LIMIT,
     )
-    _append_ci_check(BENCH_RESILIENCE_PATH, report)
+    _record_ci_check(BENCH_RESILIENCE_PATH, report)
     return report
 
 
@@ -339,7 +348,7 @@ def check_session_throughput(seed: int, repeats: int) -> dict | None:
         "recorded_wall_overhead": baseline,
         "limit": SESSION_REGRESSION_LIMIT,
     }
-    _append_ci_check(BENCH_SESSION_PATH, report)
+    _record_ci_check(BENCH_SESSION_PATH, report)
     return report
 
 
@@ -383,7 +392,7 @@ def check_store_warm_path(seed: int, repeats: int) -> dict | None:
     report = dict(measured)
     report["recorded_warm_cold_ratio"] = baseline
     report["limit"] = STORE_WARM_REGRESSION_LIMIT
-    _append_ci_check(BENCH_STORE_PATH, report)
+    _record_ci_check(BENCH_STORE_PATH, report)
     return report
 
 
@@ -449,7 +458,7 @@ def check_vector_ratio(seed: int, repeats: int) -> dict | None:
         "recorded_wall_ratio": baseline,
         "limit": VECTOR_RATIO_REGRESSION_LIMIT,
     }
-    _append_ci_check(BENCH_PERF_PATH, report)
+    _record_ci_check(BENCH_PERF_PATH, report)
     return report
 
 

@@ -351,13 +351,16 @@ def begin_compare_sort(
     group_size = min(ctx.config.compare_group_size, len(refs))
     groups = covering_groups(list(refs), group_size, seed=ctx.config.seed)
     item_html = {ref: _item_html(task, ref) for ref in refs}
+    # Each payload carries only its own group's HTML: ``item_html`` is in
+    # the payload's ``repr``, hence in every HIT cache key, so a shared
+    # N-item dict would make each key O(N) and one sort's keys O(N³).
     units: list[list[Payload]] = [
         [
             ComparePayload(
                 task_name=task.name,
                 groups=(CompareGroup(tuple(group)),),
                 question=task.compare_question(group_size),
-                item_html=item_html,
+                item_html={ref: item_html[ref] for ref in group},
             )
         ]
         for group in groups

@@ -26,6 +26,7 @@ borrowing query for the session's sharing stats.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -42,6 +43,11 @@ class HITCache(Protocol):
         ...  # pragma: no cover
 
     def contains_key(self, cache_key: str) -> bool:
+        ...  # pragma: no cover
+
+    def batch(self) -> AbstractContextManager[None]:
+        """Group the enclosed lookups and stores (one HIT group's) into
+        one unit of persistence; in-memory caches return a no-op."""
         ...  # pragma: no cover
 
 
@@ -97,6 +103,10 @@ class TaskCache:
         never projects cache savings the real lookup won't deliver.
         """
         return cache_key in self._store
+
+    def batch(self) -> AbstractContextManager[None]:
+        """No-op: an in-memory cache has nothing to commit."""
+        return nullcontext()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -166,3 +176,7 @@ class TaskCacheView:
     def contains_key(self, cache_key: str) -> bool:
         """Accounting-free peek (see :meth:`TaskCache.contains_key`)."""
         return self.shared.contains_key(cache_key)
+
+    def batch(self) -> AbstractContextManager[None]:
+        """The shared cache's batch (see :meth:`HITCache.batch`)."""
+        return self.shared.batch()

@@ -30,6 +30,7 @@ this is what the pipelined executor's scheduler drives.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -362,13 +363,17 @@ class TaskManager:
             return PendingBatch(self, outcome, [], label, strict)
 
         to_post: list[HIT] = []
-        for hit in hits:
-            cached = self.cache.lookup(hit) if self.cache is not None else None
-            if cached is not None:
-                outcome.hits.append(hit)
-                outcome.assignments.extend(cached)
-            else:
-                to_post.append(hit)
+        if self.cache is None:
+            to_post.extend(hits)
+        else:
+            with self.cache.batch():
+                for hit in hits:
+                    cached = self.cache.lookup(hit)
+                    if cached is not None:
+                        outcome.hits.append(hit)
+                        outcome.assignments.extend(cached)
+                    else:
+                        to_post.append(hit)
 
         pending = PendingBatch(self, outcome, to_post, label, strict)
         if to_post:
@@ -417,10 +422,11 @@ class TaskManager:
         """Cache every posted HIT's completed assignments."""
         assert self.cache is not None
         by_hit = self._group_by_hit(completed)
-        for hit in to_post:
-            hit_assignments = by_hit.get(hit.hit_id, [])
-            if hit_assignments:
-                self.cache.store(hit, hit_assignments)
+        with self.cache.batch():
+            for hit in to_post:
+                hit_assignments = by_hit.get(hit.hit_id, [])
+                if hit_assignments:
+                    self.cache.store(hit, hit_assignments)
 
     def _finalize_outcome(
         self,
@@ -445,18 +451,19 @@ class TaskManager:
                     to_post, completed, label, outcome.post_time, finish_time
                 )
             by_hit = self._group_by_hit(completed)
-            for hit in to_post:
-                hit_assignments = by_hit.get(hit.hit_id, [])
-                outcome.hits.append(hit)
-                outcome.assignments.extend(hit_assignments)
-                if not hit_assignments:
-                    outcome.uncompleted_hit_ids.append(hit.hit_id)
-                elif self.cache is not None and (
-                    not cache_stored or hit.hit_id in refreshed
-                ):
-                    # Recovered hits re-store: the eager at-submit store
-                    # cached the faulted (shortfall) assignment set.
-                    self.cache.store(hit, hit_assignments)
+            with self.cache.batch() if self.cache is not None else nullcontext():
+                for hit in to_post:
+                    hit_assignments = by_hit.get(hit.hit_id, [])
+                    outcome.hits.append(hit)
+                    outcome.assignments.extend(hit_assignments)
+                    if not hit_assignments:
+                        outcome.uncompleted_hit_ids.append(hit.hit_id)
+                    elif self.cache is not None and (
+                        not cache_stored or hit.hit_id in refreshed
+                    ):
+                        # Recovered hits re-store: the eager at-submit store
+                        # cached the faulted (shortfall) assignment set.
+                        self.cache.store(hit, hit_assignments)
             # Only pay for work actually completed (reposted clone HITs
             # count as posted-HIT overhead).
             self.ledger.record(

@@ -28,6 +28,10 @@ The store must never crash the engine:
 
 * writes run in WAL mode (readers never block on a writer; a crash
   mid-write rolls back to the last committed frame);
+* the task manager wraps each HIT group's lookups and stores in
+  :meth:`PersistentAnswerStore.batch`, one transaction per group, so a
+  crash loses at most the in-flight group's answers (earlier groups are
+  committed);
 * on open, the file is sanity-scanned (``PRAGMA quick_check`` + schema
   validation). A truncated, garbage, or wrong-schema-version file is
   *quarantined* (renamed to ``<path>.corrupt-N`` alongside its WAL/SHM
@@ -47,7 +51,14 @@ makes eviction order deterministic under equal timestamps (the virtual
 clock in tests, coarse wall clocks in production). Recency is tracked at
 *persistence* granularity: only lookups that actually read the disk
 update ``last_used_at``; memory-layer hits don't, keeping the hot path
-free of writes.
+free of writes. Every delete names the full
+``(cache_key, fingerprint, schema_version)`` key, so expiring or evicting
+one row never touches another fingerprint's row under the same key.
+
+Eviction runs after every insert. A budget's cost is one
+``COUNT``/``SUM`` scan per transaction — per :meth:`~PersistentAnswerStore.batch`,
+or per insert outside one — after which the totals are maintained row by
+row; a store without a budget never scans.
 """
 
 from __future__ import annotations
@@ -58,9 +69,10 @@ import logging
 import os
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from repro.hits.hit import HIT, Assignment
 from repro.relational.expressions import UNKNOWN
@@ -136,16 +148,17 @@ _UNKNOWN_KEY = "$repro-unknown$"
 (the paper's §2.4 wildcard feature value, a process-local singleton)."""
 
 
-def _encode_value(value: object) -> object:
+def _encode_unknown(value: object) -> object:
+    """``json.dumps`` fallback: the UNKNOWN sentinel travels as a tag
+    object; any other non-JSON value raises ``TypeError``."""
     if value is UNKNOWN:
         return {_UNKNOWN_KEY: True}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _decode_value(value: object) -> object:
-    if isinstance(value, dict) and _UNKNOWN_KEY in value:
-        return UNKNOWN
-    return value
+def _decode_unknown(obj: dict) -> object:
+    """``json.loads`` object hook: the tag object decodes to UNKNOWN."""
+    return UNKNOWN if _UNKNOWN_KEY in obj else obj
 
 
 def _encode_assignments(assignments: Sequence[Assignment]) -> str:
@@ -161,9 +174,7 @@ def _encode_assignments(assignments: Sequence[Assignment]) -> str:
                 "assignment_id": a.assignment_id,
                 "hit_id": a.hit_id,
                 "worker_id": a.worker_id,
-                "answers": {
-                    qid: _encode_value(value) for qid, value in a.answers.items()
-                },
+                "answers": a.answers,
                 "accept_time": a.accept_time,
                 "submit_time": a.submit_time,
             }
@@ -171,24 +182,28 @@ def _encode_assignments(assignments: Sequence[Assignment]) -> str:
         ],
         separators=(",", ":"),
         allow_nan=False,
+        default=_encode_unknown,
     )
 
 
 def _decode_assignments(blob: str) -> tuple[Assignment, ...]:
-    return tuple(
+    """Inverse of :func:`_encode_assignments`; raises ``ValueError``,
+    ``KeyError`` or ``TypeError`` on a blob it did not write."""
+    assignments = tuple(
         Assignment(
             assignment_id=rec["assignment_id"],
             hit_id=rec["hit_id"],
             worker_id=rec["worker_id"],
-            answers={
-                qid: _decode_value(value)
-                for qid, value in rec["answers"].items()
-            },
+            answers=rec["answers"],
             accept_time=rec["accept_time"],
             submit_time=rec["submit_time"],
         )
-        for rec in json.loads(blob)
+        for rec in json.loads(blob, object_hook=_decode_unknown)
     )
+    for assignment in assignments:
+        if type(assignment.answers) is not dict:
+            raise TypeError("stored answers are not a JSON object")
+    return assignments
 
 
 class PersistentAnswerStore:
@@ -236,6 +251,11 @@ class PersistentAnswerStore:
         self.rebuilds = 0
         self.degraded = False
         self._conn: sqlite3.Connection | None = None
+        self._batch_open = False
+        self._totals: list[int] | None = None
+        """``[rows, bytes]`` over the whole table, read at most once per
+        :meth:`batch` transaction and kept exact across its writes (the
+        transaction holds the write lock). ``None`` outside a batch."""
         self._open()
 
     # -- opening, validation, and recovery ---------------------------------
@@ -325,6 +345,7 @@ class PersistentAnswerStore:
 
     def _degrade(self, exc: Exception) -> None:
         """Switch to memory-only mode after a post-open SQLite failure."""
+        self._totals = None
         if self._conn is not None:
             try:
                 self._conn.close()
@@ -355,29 +376,56 @@ class PersistentAnswerStore:
             self._degrade(exc)
 
     def _enforce_budget(self) -> None:
-        """Evict min ``(last_used_at, cache_key)`` rows until within budget."""
+        """Evict min ``(last_used_at, cache_key)`` rows until within budget.
+
+        Runs after every insert. The table totals come from one aggregate
+        scan per transaction — every insert outside a :meth:`batch`, the
+        first one inside it — and are then maintained row by row.
+        """
         if self._conn is None or (self.max_rows is None and self.max_bytes is None):
             return
         try:
-            while True:
-                rows, total = self._conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(byte_size), 0) FROM answers"
-                ).fetchone()
-                over_rows = self.max_rows is not None and rows > self.max_rows
-                over_bytes = self.max_bytes is not None and total > self.max_bytes
-                if not (over_rows or over_bytes) or rows == 0:
-                    return
-                victim = self._conn.execute(
-                    "SELECT cache_key FROM answers "
-                    "ORDER BY last_used_at, cache_key LIMIT 1"
+            totals = self._totals
+            if totals is None:
+                totals = list(
+                    self._conn.execute(
+                        "SELECT COUNT(*), COALESCE(SUM(byte_size), 0) "
+                        "FROM answers"
+                    ).fetchone()
+                )
+            while totals[0] > 0 and (
+                (self.max_rows is not None and totals[0] > self.max_rows)
+                or (self.max_bytes is not None and totals[1] > self.max_bytes)
+            ):
+                key, fingerprint, version, size = self._conn.execute(
+                    "SELECT cache_key, fingerprint, schema_version, byte_size "
+                    "FROM answers ORDER BY last_used_at, cache_key LIMIT 1"
                 ).fetchone()
                 self._conn.execute(
-                    "DELETE FROM answers WHERE cache_key = ?", (victim[0],)
+                    "DELETE FROM answers WHERE cache_key = ? AND "
+                    "fingerprint = ? AND schema_version = ?",
+                    (key, fingerprint, version),
                 )
-                self._memory.pop(victim[0], None)
+                if fingerprint == self.fingerprint and version == STORE_SCHEMA_VERSION:
+                    self._memory.pop(key, None)
+                totals[0] -= 1
+                totals[1] -= size
                 self.evictions_budget += 1
+            if self._batch_open:
+                self._totals = totals
         except sqlite3.Error as exc:
             self._degrade(exc)
+
+    def _delete_own_row(self, cache_key: str) -> None:
+        """Delete this store's row for a key, leaving other fingerprints'
+        and versions' rows under the same key alone."""
+        self._conn.execute(
+            "DELETE FROM answers WHERE cache_key = ? AND fingerprint = ? "
+            "AND schema_version = ?",
+            (cache_key, self.fingerprint, STORE_SCHEMA_VERSION),
+        )
+        # The deleted row's size is unknown here; rescan on the next insert.
+        self._totals = None
 
     def _fetch_live(self, cache_key: str) -> tuple[str, float] | None:
         """Unexpired disk row ``(blob, created_at)`` for a key, or None.
@@ -398,9 +446,7 @@ class PersistentAnswerStore:
             self.ttl_seconds is not None
             and row[1] + self.ttl_seconds <= self._clock()
         ):
-            self._conn.execute(
-                "DELETE FROM answers WHERE cache_key = ?", (cache_key,)
-            )
+            self._delete_own_row(cache_key)
             self.evictions_ttl += 1
             return None
         return row
@@ -448,9 +494,7 @@ class PersistentAnswerStore:
                 "answer store row %r undecodable (%s); dropping it", key, exc
             )
             try:
-                self._conn.execute(
-                    "DELETE FROM answers WHERE cache_key = ?", (key,)
-                )
+                self._delete_own_row(key)
             except sqlite3.Error as db_exc:
                 self._degrade(db_exc)
             self.misses += 1
@@ -490,7 +534,16 @@ class PersistentAnswerStore:
                 exc,
             )
             return
+        size = len(blob) + len(key)
+        totals = self._totals
         try:
+            if totals is not None:
+                # A replaced row leaves the count alone and swaps its size.
+                old = self._conn.execute(
+                    "SELECT byte_size FROM answers WHERE cache_key = ? "
+                    "AND fingerprint = ? AND schema_version = ?",
+                    (key, self.fingerprint, STORE_SCHEMA_VERSION),
+                ).fetchone()
             self._conn.execute(
                 "INSERT OR REPLACE INTO answers (cache_key, fingerprint, "
                 "schema_version, assignments, assignment_count, byte_size, "
@@ -501,7 +554,7 @@ class PersistentAnswerStore:
                     STORE_SCHEMA_VERSION,
                     blob,
                     len(stored),
-                    len(blob) + len(key),
+                    size,
                     now,
                     now,
                 ),
@@ -509,7 +562,46 @@ class PersistentAnswerStore:
         except sqlite3.Error as exc:
             self._degrade(exc)
             return
+        if totals is not None:
+            if old is None:
+                totals[0] += 1
+                totals[1] += size
+            else:
+                totals[1] += size - old[0]
         self._enforce_budget()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Run the enclosed lookups and stores as one SQLite transaction.
+
+        The task manager wraps each HIT group's cache traffic in one
+        batch, so a group costs one commit instead of one per HIT; a crash
+        loses at most the in-flight group's answers. A nested batch, or a
+        batch on a degraded or closed store, does nothing. A SQLite error
+        at ``BEGIN`` or ``COMMIT`` degrades the store to memory-only, like
+        any other store error. The transaction commits even when the
+        enclosed code raises: answers already bought stay bought.
+        """
+        if self._conn is None or self._batch_open:
+            yield
+            return
+        try:
+            self._conn.execute("BEGIN")
+        except sqlite3.Error as exc:
+            self._degrade(exc)
+            yield
+            return
+        self._batch_open = True
+        try:
+            yield
+        finally:
+            self._batch_open = False
+            self._totals = None
+            if self._conn is not None:
+                try:
+                    self._conn.execute("COMMIT")
+                except sqlite3.Error as exc:
+                    self._degrade(exc)
 
     def contains_key(self, cache_key: str) -> bool:
         """Accounting-free peek, TTL-aware.
@@ -550,6 +642,7 @@ class PersistentAnswerStore:
     def clear(self) -> None:
         """Drop all rows (every fingerprint/version) and reset counters."""
         self._memory.clear()
+        self._totals = None
         if self._conn is not None:
             try:
                 self._conn.execute("DELETE FROM answers")
@@ -570,6 +663,8 @@ class PersistentAnswerStore:
         new store on the same path)."""
         if self._conn is not None:
             try:
+                if self._conn.in_transaction:
+                    self._conn.execute("COMMIT")
                 self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
                 self._conn.close()
             except sqlite3.Error:  # pragma: no cover

@@ -1,10 +1,14 @@
 """Tests for the crowd-sort execution layer."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.context import ExecutionConfig
 from repro.core.plan import SortNode
 from repro.core.sort_exec import (
+    _item_html,
+    begin_compare_sort,
     compare_sort,
     execute_sort,
     hybrid_sort,
@@ -13,6 +17,8 @@ from repro.core.sort_exec import (
 )
 from repro.datasets import squares_dataset
 from repro.errors import PlanError
+from repro.hits.compiler import HITCompiler
+from repro.hits.hit import HIT
 from repro.language.ast import OrderItem
 from repro.language.parser import parse_expression
 from repro.metrics.kendall import kendall_tau_from_orders
@@ -40,6 +46,60 @@ def test_compare_sort_recovers_order():
     order, corpus = compare_sort(task_of(ctx), data.items, ctx)
     assert kendall_tau_from_orders(order, data.true_order) > 0.9
     assert corpus  # raw votes exposed for κ analysis
+
+
+def compare_hits(n: int, batch_groups: int):
+    """The HITs a compare sort over ``n`` fixed-width refs posts."""
+    # smallest=100, step=1: every ref is ``img://squares/NNNxNNN``, so
+    # key lengths depend only on how many items a HIT carries.
+    data = squares_dataset(n=n, smallest=100, step=1, seed=5)
+    ctx = make_context(
+        data.truth,
+        data.task_dsl,
+        seed=5,
+        config=ExecutionConfig(
+            seed=5, compare_batch_groups=batch_groups, strict_hits=False
+        ),
+    )
+    task = task_of(ctx)
+    hits = begin_compare_sort(task, data.items, ctx).batch.result().hits
+    return task, data.items, hits
+
+
+def test_compare_hit_keys_do_not_grow_with_sort_size():
+    """A compare HIT carries only its own groups' item HTML, so its cache
+    key is O(group), not O(N)."""
+    longest = {}
+    for n in (20, 40, 80):
+        for batch_groups in (1, 3):
+            _, _, hits = compare_hits(n, batch_groups)
+            for hit in hits:
+                (payload,) = hit.payloads
+                in_groups = {item for group in payload.groups for item in group.items}
+                assert set(payload.item_html) == in_groups
+            longest[n, batch_groups] = max(len(hit.cache_key) for hit in hits)
+    assert longest[20, 1] == longest[80, 1]
+    # Three groups of five hold at most 15 distinct items; N=20's denser
+    # covering design repeats items inside a HIT, so it may stay below.
+    assert longest[20, 3] <= longest[40, 3] == longest[80, 3]
+
+
+@pytest.mark.parametrize("batch_groups", [1, 3])
+def test_compare_hit_html_matches_full_dict_payload(batch_groups):
+    """Trimming ``item_html`` to the groups' items leaves every compiled
+    compare HIT byte-identical."""
+    task, refs, hits = compare_hits(20, batch_groups)
+    full = {ref: _item_html(task, ref) for ref in refs}
+    compiler = HITCompiler()
+    for hit in hits:
+        twin = HIT(
+            hit_id=hit.hit_id,
+            payloads=tuple(
+                dataclasses.replace(p, item_html=full) for p in hit.payloads
+            ),
+            assignments_requested=hit.assignments_requested,
+        )
+        assert hit.html == compiler.render_hit(twin)
 
 
 def test_rate_sort_returns_summaries():

@@ -10,11 +10,13 @@ queries keep running — at worst they re-buy answers the broken file lost.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import shutil
 import sqlite3
+import time
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,12 @@ from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
+from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.datasets import animals_dataset
+from repro.datasets.movie import movie_dataset
 from repro.errors import PlanError
+from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.store_workload import build_store_engine, store_config
 from repro.hits.cache import TaskCache, payload_cache_key
 from repro.hits.hit import HIT, Assignment, FilterPayload, FilterQuestion
 from repro.hits.manager import TaskManager
@@ -32,6 +38,8 @@ from repro.hits.store import (
     STORE_SCHEMA_VERSION,
     PersistentAnswerStore,
     StoreConfig,
+    _decode_assignments,
+    _encode_assignments,
     combiner_fingerprint,
     open_store,
 )
@@ -304,6 +312,39 @@ def test_wrong_schema_version_quarantined_and_rebuilt(db_path, caplog):
     store.close()
 
 
+def test_encoded_blob_is_byte_stable():
+    """The blob codec's output is pinned: rows written by earlier versions
+    and by this one are byte-identical, so ``STORE_SCHEMA_VERSION`` and
+    recorded ``byte_size`` values stay valid."""
+    hit = make_hit()
+    assignments = (
+        make_assignment(
+            hit,
+            "w1",
+            **{
+                "t:filter:a": True,
+                "count": 3,
+                "score": 0.1 + 0.2,
+                "label": "weasel",
+                "feature": UNKNOWN,
+                "neg": -2.5e-07,
+            },
+        ),
+        make_assignment(hit, "w2", **{"t:filter:a": False})._replace(
+            accept_time=1.0, submit_time=2.5
+        ),
+    )
+    assert _encode_assignments(assignments) == (
+        '[{"assignment_id":"h-a:w1","hit_id":"h-a","worker_id":"w1",'
+        '"answers":{"t:filter:a":true,"count":3,"score":0.30000000000000004,'
+        '"label":"weasel","feature":{"$repro-unknown$":true},"neg":-2.5e-07},'
+        '"accept_time":12.25,"submit_time":19.75},'
+        '{"assignment_id":"h-a:w2","hit_id":"h-a","worker_id":"w2",'
+        '"answers":{"t:filter:a":false},"accept_time":1.0,"submit_time":2.5}]'
+    )
+    assert _decode_assignments(_encode_assignments(assignments)) == assignments
+
+
 def test_undecodable_row_is_dropped_as_miss(db_path):
     """A structurally valid DB holding an unreadable blob (partial write
     that still checksums, manual edit) yields a miss, not a crash."""
@@ -319,6 +360,29 @@ def test_undecodable_row_is_dropped_as_miss(db_path):
     store = PersistentAnswerStore(db_path)
     assert store.lookup(make_hit("a")) is None
     assert store.lookup(make_hit("b")) is not None  # siblings unaffected
+    store.close()
+
+
+def test_row_with_non_object_answers_is_dropped_as_miss(db_path):
+    """Valid JSON of the wrong shape is undecodable too: a lookup misses
+    and drops the row instead of handing the engine a malformed
+    assignment."""
+    _populated(db_path)
+    hit = make_hit("a")
+    conn = sqlite3.connect(db_path)
+    conn.execute(
+        "UPDATE answers SET assignments = ? WHERE cache_key = ?",
+        (
+            '[{"assignment_id":"x","hit_id":"h-a","worker_id":"w",'
+            '"answers":[1],"accept_time":1.0,"submit_time":2.0}]',
+            hit.cache_key,
+        ),
+    )
+    conn.commit()
+    conn.close()
+    store = PersistentAnswerStore(db_path)
+    assert store.lookup(make_hit("a")) is None
+    assert store.row_count() == 2
     store.close()
 
 
@@ -340,6 +404,80 @@ def test_unserializable_answer_stays_memory_only(db_path, caplog):
     reopened.close()
 
 
+def test_set_valued_answer_stays_memory_only(db_path):
+    store = PersistentAnswerStore(db_path)
+    hit = make_hit()
+    store.store(hit, [make_assignment(hit)._replace(answers={"q": {"x", "y"}})])
+    assert store.lookup(hit) is not None and not store.degraded
+    assert store.row_count() == 0
+    store.close()
+
+
+# ---------------------------------------------------------------------------
+# Group commit: one transaction per batch()
+# ---------------------------------------------------------------------------
+
+
+def test_batch_commits_once_and_survives_reopen(db_path):
+    store = PersistentAnswerStore(db_path)
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    with store.batch():
+        for item in ("a", "b", "c"):
+            hit = make_hit(item)
+            store.store(hit, [make_assignment(hit)])
+    store._conn.set_trace_callback(None)
+    assert [s for s in statements if s in ("BEGIN", "COMMIT")] == ["BEGIN", "COMMIT"]
+    # Drop the handle without close(): only committed rows may survive.
+    store._conn.close()
+    reopened = PersistentAnswerStore(db_path)
+    assert all(reopened.lookup(make_hit(item)) is not None for item in "abc")
+    reopened.close()
+
+
+def test_nested_batch_is_a_no_op(db_path):
+    store = PersistentAnswerStore(db_path)
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    with store.batch():
+        with store.batch():
+            hit = make_hit()
+            store.store(hit, [make_assignment(hit)])
+        assert store._conn.in_transaction  # the inner exit did not commit
+    assert not store._conn.in_transaction
+    assert statements.count("BEGIN") == 1 and statements.count("COMMIT") == 1
+    store.close()
+
+
+def test_batch_on_degraded_or_closed_store_is_a_no_op(db_path, caplog):
+    closed = PersistentAnswerStore(db_path)
+    closed.close()
+    with closed.batch():
+        hit = make_hit()
+        closed.store(hit, [make_assignment(hit)])
+    assert closed.lookup(hit) is not None and not closed.degraded
+
+    broken = PersistentAnswerStore(db_path)
+    broken._conn.close()  # the handle dies behind the store's back
+    with caplog.at_level(logging.WARNING, logger="repro.hits.store"):
+        with broken.batch():  # BEGIN fails: degrade, run the body anyway
+            broken.store(hit, [make_assignment(hit)])
+        with broken.batch():
+            pass
+    assert broken.degraded and broken.lookup(hit) is not None
+
+
+def test_failed_commit_degrades_to_memory_only(db_path, caplog):
+    store = PersistentAnswerStore(db_path)
+    with caplog.at_level(logging.WARNING, logger="repro.hits.store"):
+        with store.batch():
+            hit = make_hit()
+            store.store(hit, [make_assignment(hit)])
+            store._conn.execute("COMMIT")  # the batch's COMMIT now fails
+    assert store.degraded
+    assert store.lookup(hit) is not None  # memory layer still serves
+
+
 # ---------------------------------------------------------------------------
 # TTL and eviction determinism
 # ---------------------------------------------------------------------------
@@ -359,6 +497,64 @@ def test_ttl_sweep_on_open(db_path):
     )
     assert reopened.evictions_ttl == 1
     assert reopened.lookup(make_hit()) is None
+    reopened.close()
+
+
+def test_ttl_expiry_keeps_other_fingerprints_rows(db_path):
+    """Lazy TTL expiry deletes only the expiring store's own row: a row
+    another combiner fingerprint recorded under the same cache key stays
+    until its own TTL runs out."""
+    clock = [0.0]
+
+    def opened(combiner):
+        return PersistentAnswerStore(
+            db_path,
+            ttl_seconds=100.0,
+            fingerprint=combiner_fingerprint(combiner),
+            clock=lambda: clock[0],
+        )
+
+    a = opened("majority")
+    a.store(make_hit(), [make_assignment(make_hit())])
+    clock[0] = 50.0
+    b = opened("quality_adjust")
+    b.store(make_hit(), [make_assignment(make_hit(), "wb")])
+    b.close()
+    clock[0] = 120.0
+    assert a.lookup(make_hit()) is None
+    assert a.evictions_ttl == 1
+    a.close()
+    reopened_b = opened("quality_adjust")
+    restored = reopened_b.lookup(make_hit())
+    assert restored is not None and restored[0].worker_id == "wb"
+    reopened_b.close()
+
+
+def test_budget_eviction_of_other_fingerprint_keeps_own_entry(db_path):
+    """Budget eviction deletes exactly one ``(key, fingerprint, version)``
+    row and leaves this store's memory entry alone when the victim belongs
+    to another fingerprint."""
+    clock = [0.0]
+    old = PersistentAnswerStore(
+        db_path, fingerprint=combiner_fingerprint("majority"), clock=lambda: clock[0]
+    )
+    old.store(make_hit(), [make_assignment(make_hit())])
+    old.close()
+    clock[0] = 10.0
+    new = PersistentAnswerStore(
+        db_path,
+        max_rows=1,
+        fingerprint=combiner_fingerprint("quality_adjust"),
+        clock=lambda: clock[0],
+    )
+    new.store(make_hit(), [make_assignment(make_hit(), "wn")])
+    assert new.evictions_budget == 1 and new.row_count() == 1
+    assert new.lookup(make_hit())[0].worker_id == "wn"
+    new.close()
+    reopened = PersistentAnswerStore(
+        db_path, fingerprint=combiner_fingerprint("quality_adjust")
+    )
+    assert reopened.lookup(make_hit()) is not None
     reopened.close()
 
 
@@ -422,6 +618,58 @@ def test_max_bytes_budget_enforced(db_path):
         clock[0] += 1.0
     assert store.byte_size() <= 700
     assert store.evictions_budget > 0
+    store.close()
+
+
+def test_budget_eviction_is_per_insert_inside_a_batch(db_path):
+    """A batch keeps the per-insert eviction order. Under a byte budget
+    with tied timestamps, evicting once at the end of the group would keep
+    a different set: here {c} instead of {a, c}."""
+    hits = {item: make_hit(item) for item in ("a", "b", "c")}
+    rows = {
+        "a": [make_assignment(hits["a"], label="x")],
+        "b": [make_assignment(hits["b"], label="x" * 400)],
+        "c": [make_assignment(hits["c"], label="x" * 200)],
+    }
+    size = {
+        item: len(_encode_assignments(rows[item])) + len(hits[item].cache_key)
+        for item in rows
+    }
+    budget = size["a"] + size["c"]
+    assert size["b"] + size["c"] > budget  # b goes when c arrives
+    store = PersistentAnswerStore(db_path, max_bytes=budget, clock=lambda: 5.0)
+    with store.batch():
+        for item in ("b", "c", "a"):
+            store.store(hits[item], rows[item])
+    survivors = {item for item in rows if store.contains_key(hits[item].cache_key)}
+    assert survivors == {"a", "c"}
+    assert store.evictions_budget == 1
+    assert store.byte_size() == budget
+    store.close()
+
+
+def test_budget_totals_scan_once_per_batch(db_path):
+    """Budget enforcement reads the table totals once per transaction and
+    keeps them exact across the batch's inserts, replacements and
+    evictions."""
+    store = PersistentAnswerStore(db_path, max_rows=4, clock=lambda: 1.0)
+    scans = []
+    store._conn.set_trace_callback(
+        lambda sql: scans.append(sql) if "SUM(byte_size)" in sql else None
+    )
+    for group in (("a", "b", "c"), ("d", "b", "e", "f", "g")):
+        with store.batch():
+            for item in group:
+                hit = make_hit(item)
+                store.store(hit, [make_assignment(hit, label=item * 9)])
+    assert len(scans) == 2
+    store._conn.set_trace_callback(None)
+    # Tied timestamps evict the smallest keys; the re-stored "b" replaced
+    # its row without adding one.
+    assert {
+        item for item in "abcdefg" if store.contains_key(make_hit(item).cache_key)
+    } == {"d", "e", "f", "g"}
+    assert store.row_count() == 4 and store.evictions_budget == 3
     store.close()
 
 
@@ -581,3 +829,97 @@ def test_store_survives_engine_level_corruption(db_path):
     result = retry.execute(ANIMALS_QUERY)  # re-buys, does not raise
     assert result.total_cost > 0
     retry.store.close()
+
+
+# ---------------------------------------------------------------------------
+# Group commit and budget cost on the restart workload
+# ---------------------------------------------------------------------------
+
+
+def _traced_restart_store(path, **budget):
+    """A store on ``path`` whose SQL is recorded per ``batch()``: returns
+    the store and a list of ``(statement, batch ordinal)`` pairs, ordinal
+    0 meaning outside any batch."""
+    store = PersistentAnswerStore(path, **budget)
+    log: list[tuple[str, int]] = []
+    state = {"batches": 0, "open": 0}
+    inner = store.batch
+
+    @contextlib.contextmanager
+    def counted_batch():
+        if state["open"] == 0:
+            state["batches"] += 1
+        state["open"] += 1
+        try:
+            with inner():
+                yield
+        finally:
+            state["open"] -= 1
+
+    store.batch = counted_batch
+    store._conn.set_trace_callback(
+        lambda sql: log.append((sql, state["batches"] if state["open"] else 0))
+    )
+    return store, log, state
+
+
+def test_restart_pair_commits_once_per_batch_never_per_row(db_path):
+    """Cold then warm Table-5 run: every INSERT and UPDATE runs inside a
+    ``batch()`` transaction, and there is at most one BEGIN/COMMIT per
+    batch, so write transactions scale with HIT groups, not HITs."""
+    data = movie_dataset(seed=0)
+    for run in ("cold", "warm"):
+        store, log, state = _traced_restart_store(db_path)
+        result = build_store_engine(store, data=data).execute(QUERY_WITH_FILTER)
+        store._conn.set_trace_callback(None)
+        store.close()
+        writes = [(sql, b) for sql, b in log if sql.startswith(("INSERT", "UPDATE"))]
+        assert writes, run
+        assert all(b > 0 for _, b in writes), run
+        begins = [b for sql, b in log if sql == "BEGIN"]
+        commits = [b for sql, b in log if sql == "COMMIT"]
+        assert len(begins) == len(set(begins)) <= state["batches"]
+        assert len(commits) == len(begins)
+        assert len(commits) < len(writes)
+        assert (result.hit_count == 0) == (run == "warm")
+
+
+def test_budgeted_run_scans_totals_at_most_once_per_group(db_path):
+    data = movie_dataset(seed=0)
+    store, log, state = _traced_restart_store(db_path, max_bytes=10**12)
+    build_store_engine(store, data=data).execute(QUERY_WITH_FILTER)
+    store._conn.set_trace_callback(None)
+    store.close()
+    scans = [b for sql, b in log if "SUM(byte_size)" in sql]
+    inserts = [b for sql, b in log if sql.startswith("INSERT")]
+    assert scans and all(b > 0 for b in scans)
+    assert len(scans) == len(set(scans))  # at most one per batch
+    assert len(scans) < len(inserts)
+
+
+def test_byte_budget_adds_little_cpu_at_scale_32(tmp_path):
+    """A never-evicting byte budget stays within 1.25x of no budget on a
+    scale-32 cold run (it used to rescan the table after every insert)."""
+    data = movie_dataset(seed=0, scale=32)
+    latency = LatencyConfig(deadline_hours=8.0 * 32)
+
+    def cold_run(spec) -> float:
+        market = SimulatedMarketplace(data.truth, seed=0, latency=LatencyModel(latency))
+        engine = Qurk(platform=market, config=store_config(), store=spec)
+        engine.register_table(data.actors)
+        engine.register_table(data.scenes)
+        engine.define(data.task_dsl)
+        start = time.process_time()
+        engine.execute(QUERY_WITH_FILTER)
+        elapsed = time.process_time() - start
+        engine.store.close()
+        return elapsed
+
+    best = {"plain": float("inf"), "budget": float("inf")}
+    for repeat in range(2):
+        best["plain"] = min(best["plain"], cold_run(tmp_path / f"p{repeat}.db"))
+        best["budget"] = min(
+            best["budget"],
+            cold_run(StoreConfig(tmp_path / f"b{repeat}.db", max_bytes=10**12)),
+        )
+    assert best["budget"] <= 1.25 * best["plain"], best
