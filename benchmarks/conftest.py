@@ -10,9 +10,11 @@ Experiments run once per benchmark (``rounds=1``): the interesting metric is
 the artifact itself, not the wall-clock of the simulation.
 
 Per-bench wall-clock timings are still recorded: every benchmark test's
-duration is written to ``BENCH_timings.json`` (next to the benchmarks) at
-session end, so perf regressions across PRs are visible without rerunning
-pytest-benchmark's statistics machinery.
+duration is merged into ``.bench_timings.json`` at the repository root
+(gitignored) at session end, so a local run can compare durations without
+rerunning pytest-benchmark's statistics machinery. Wall-clock durations
+differ on every run, so they are never written to a tracked file: a
+benchmark run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import time
 from pathlib import Path
 
-TIMINGS_PATH = Path(__file__).parent / "BENCH_timings.json"
+TIMINGS_PATH = Path(__file__).resolve().parent.parent / ".bench_timings.json"
 
 _timings: dict[str, float] = {}
 

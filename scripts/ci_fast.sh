@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Seven stages, all minutes-not-hours:
+# Eight stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -17,7 +17,8 @@
 #      before the benchmarks);
 #   4. `pytest benchmarks/bench_scenarios.py` — the scenario-pack
 #      benchmarks at their fast settings, (re)recording
-#      benchmarks/BENCH_scenarios.json;
+#      benchmarks/BENCH_scenarios.json (deterministic: the same bytes
+#      unless the scenarios' results moved);
 #   5. `profile_hotpath.py --check-store` — the store cold/warm restart
 #      micro-bench in smoke mode, failing on a >5% warm-path wall
 #      regression against the ratio recorded in benchmarks/BENCH_store.json
@@ -28,7 +29,11 @@
 #      when numpy ([vector] extra) is not installed;
 #   7. `pytest perfbench/tests` — the benchmark's layer tracer, which
 #      patches engine entry points (`Row.__init__`, `answer_hit`, ...) by
-#      name, so renaming or reshaping one fails here (~2s).
+#      name, so renaming or reshaping one fails here (~2s);
+#   8. clean-tree guard — fails if the stages above changed a tracked file
+#      or left an untracked, unignored one (compared with the tree as the
+#      script found it, so local edits in progress do not trip it). A
+#      writer that trips it is fixed to write a gitignored path.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks/bench_*.py -q` (bench files do not match pytest's
@@ -39,6 +44,12 @@ set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
+
+tree_state() {
+    git diff HEAD --binary
+    git status --porcelain --untracked-files=all
+}
+tree_before=$(tree_state | cksum)
 
 python -m pytest tests -q -m "not slow"
 python -m repro.analysis src tests
@@ -65,3 +76,9 @@ python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
 python -m pytest -q perfbench/tests
+if [ "$(tree_state | cksum)" != "$tree_before" ]; then
+    echo "ci_fast.sh changed the working tree:" >&2
+    git status --short >&2
+    exit 1
+fi
+echo "clean-tree guard OK"

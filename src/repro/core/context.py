@@ -19,6 +19,7 @@ from repro.errors import PlanError
 from repro.hits.manager import TaskManager
 from repro.joins.batching import JoinInterface
 from repro.relational.catalog import Catalog
+from repro.sorting.groups import CoveringDesigns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import PlanNode
@@ -271,6 +272,11 @@ class QueryContext:
     """Whole-query pipeline telemetry (stages, makespan, serial latency,
     peak outstanding groups) when the pipelined executor ran; None under
     the depth-first interpreter."""
+    designs: CoveringDesigns = field(default_factory=dict)
+    """Covering designs built for compare sorts
+    (:func:`~repro.sorting.groups.memoized_covering_groups`). The engine or
+    session that owns the shared task cache passes its one memo to every
+    query it runs; a bare context gets its own."""
     label: str = ""
     """Which query this is, for diagnostics — a session sets its per-query
     key here so e.g. budget aborts say which of its queries hit the cap."""

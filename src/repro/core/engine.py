@@ -35,6 +35,7 @@ from repro.language.parser import parse_statements
 from repro.relational.catalog import Catalog
 from repro.relational.rows import Row
 from repro.relational.table import Table
+from repro.sorting.groups import CoveringDesigns
 from repro.sorting.topk import pick_extreme_order
 from repro.tasks.base import task_from_definition
 from repro.tasks.registry import ROLE_RANK, task_role
@@ -275,6 +276,9 @@ class Qurk:
             ledger=self.ledger,
             cache=self.store if self.store is not None else cache,
         )
+        self.designs: CoveringDesigns = {}
+        """Covering designs built by this engine's compare sorts, shared
+        across its (serial) queries like the task cache."""
         self.book = SelectivityBook()
         """The engine's online selectivity estimates, shared across its
         (serial) queries: a repeated workload's later queries start from
@@ -356,6 +360,7 @@ class Qurk:
             catalog=self.catalog,
             manager=self.manager,
             config=effective,
+            designs=self.designs,
             adapt=state,
         )
         hits_before = self.ledger.total_hits

@@ -84,6 +84,7 @@ from repro.hits.store import StoreSpec
 from repro.language.ast import SelectQuery
 from repro.relational.catalog import Catalog
 from repro.relational.table import Table
+from repro.sorting.groups import CoveringDesigns
 from repro.util import adapt as adapt_toggle
 from repro.util import pipeline as pipeline_toggle
 from repro.util import resilience as resilience_toggle
@@ -322,6 +323,9 @@ class EngineSession:
             self.store if self.store is not None else (cache or TaskCache())
         )
         self._owners: dict[str, str] = {}
+        self.designs: CoveringDesigns = {}
+        """Covering designs built by the session's compare sorts, shared by
+        its queries beside the shared cache."""
         self.queries: list[SessionQuery] = []
         self._ran = False
 
@@ -421,6 +425,7 @@ class EngineSession:
                 catalog=handle.catalog,
                 manager=manager,
                 config=handle.config,
+                designs=self.designs,
                 label=handle.key,
                 adapt=handle.adapt_state,
             )

@@ -32,14 +32,19 @@ from repro.hits.hit import (
     PickBestPayload,
     RatePayload,
     RateQuestion,
+    count_vote_values,
 )
 from repro.hits.manager import collect_pending
 from repro.language.ast import OrderItem
-from repro.metrics.agreement import comparison_kappa
+from repro.metrics.agreement import comparison_kappa_from_counts
 from repro.relational.expressions import UDFCall
 from repro.relational.rows import Row
-from repro.sorting.groups import covering_groups
-from repro.sorting.head_to_head import head_to_head_order, pair_winners_from_votes
+from repro.sorting.groups import memoized_covering_groups
+from repro.sorting.head_to_head import (
+    head_to_head_order,
+    pair_winners_from_counts,
+    pair_winners_from_votes,
+)
 from repro.sorting.hybrid import (
     ConfidenceStrategy,
     HybridSorter,
@@ -349,7 +354,9 @@ def begin_compare_sort(
 ) -> _PendingGroupSort:
     """Post a full comparison sort's HITs without collecting the votes."""
     group_size = min(ctx.config.compare_group_size, len(refs))
-    groups = covering_groups(list(refs), group_size, seed=ctx.config.seed)
+    groups = memoized_covering_groups(
+        ctx.designs, refs, group_size, seed=ctx.config.seed
+    )
     item_html = {ref: _item_html(task, ref) for ref in refs}
     # Each payload carries only its own group's HTML: ``item_html`` is in
     # the payload's ``repr``, hence in every HIT cache key, so a shared
@@ -378,10 +385,13 @@ def begin_compare_sort(
 
     def combine(outcome, node):
         corpus = {qid: v for qid, v in outcome.votes.items() if ":cmp:" in qid and v}
-        winners = pair_winners_from_votes(corpus)
-        order = head_to_head_order(list(refs), winners)
-        if node is not None and corpus:
-            ctx.stats_for(node).signals["comparison_kappa"] = comparison_kappa(corpus)
+        # One count per vote list feeds both the winners and kappa.
+        counts = {qid: count_vote_values(votes) for qid, votes in corpus.items()}
+        order = head_to_head_order(list(refs), pair_winners_from_counts(counts))
+        if node is not None and counts:
+            ctx.stats_for(node).signals["comparison_kappa"] = (
+                comparison_kappa_from_counts(list(counts.values()))
+            )
         return order, corpus
 
     return _PendingGroupSort(ctx, batch, combine)

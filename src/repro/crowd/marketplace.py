@@ -137,7 +137,7 @@ class HITGroupTicket:
 
 
 class _FenwickSlots:
-    """Index-stable pending-slot table with O(log n) k-th-alive selection.
+    """Index-stable pending-slot table with O(log n) k-th-alive takes.
 
     Dispatch picks a uniform index ``k`` into the list of still-open slots
     and removes the slot on acceptance. Kept as a plain list that is
@@ -146,7 +146,14 @@ class _FenwickSlots:
     "the original shuffled slots, minus the removed ones, in original
     order"; so selecting index ``k`` from it is exactly selecting the k-th
     alive slot of the original order. A Fenwick tree over alive flags does
-    that selection (and removal) in O(log n) without shifting anything.
+    that in O(log n) without shifting anything.
+
+    :meth:`take` selects and removes in one descent. The tree is sized to
+    a power of two, so the probes the descent does *not* step past are
+    exactly the nodes whose range holds the chosen slot — the nodes a
+    separate remove would walk up through — and decrementing them on the
+    way down is the removal. A refused slot goes back with
+    :meth:`restore`.
     """
 
     __slots__ = ("_slots", "_alive", "_tree", "_size", "_count")
@@ -172,29 +179,34 @@ class _FenwickSlots:
     def __len__(self) -> int:
         return self._count
 
-    def select(self, k: int) -> int:
-        """Original-order position of the k-th (0-based) alive slot."""
+    def take(self, k: int) -> int:
+        """Remove the k-th (0-based) alive slot; its original-order position."""
         tree = self._tree
-        size = self._size
         pos = 0
         remaining = k + 1
-        mask = size
+        mask = self._size
         while mask:
             probe = pos + mask
-            if probe <= size and tree[probe] < remaining:
-                remaining -= tree[probe]
+            count = tree[probe]
+            if count < remaining:
+                remaining -= count
                 pos = probe
+            else:
+                tree[probe] = count - 1
             mask >>= 1
-        return pos
-
-    def remove(self, pos: int) -> None:
         self._alive[pos] = False
         self._count -= 1
+        return pos
+
+    def restore(self, pos: int) -> None:
+        """Put back a slot :meth:`take` removed."""
+        self._alive[pos] = True
+        self._count += 1
         tree = self._tree
         size = self._size
         i = pos + 1
         while i <= size:
-            tree[i] -= 1
+            tree[i] += 1
             i += i & -i
 
     def alive_slots(self) -> list:
@@ -543,11 +555,11 @@ class SimulatedMarketplace:
         pool for a candidate and the candidate whether to accept, and on
         acceptance draws the work time and the worker's answers. A run of
         ``max_consecutive_refusals`` refusals or the posting deadline ends
-        the group. Pickup rates come from a precomputed table, slot
-        selection and removal go through a Fenwick table, per-HIT constants
-        (unit count, effort, exclusion set) are resolved once, and the
-        per-draw wrapper methods are bypassed in favour of the same
-        underlying ``random.Random`` stream.
+        the group. Pickup rates come from a precomputed table, a slot is
+        taken from a Fenwick table in one descent (and restored on
+        refusal), per-HIT constants (unit count, effort, exclusion set) are
+        resolved once, and the per-draw wrapper methods are bypassed in
+        favour of the same underlying ``random.Random`` stream.
         """
         total = len(pending)
         completed: list[Assignment] = []
@@ -566,8 +578,8 @@ class SimulatedMarketplace:
         raw_randrange = raw.randrange
         raw_expovariate = raw.expovariate
         raw_lognormvariate = raw.lognormvariate
-        select = slots.select
-        remove = slots.remove
+        take = slots.take
+        restore = slots.restore
         pick_candidate = self.pool.pick_candidate
         truth = self.truth
         stats = self.stats
@@ -590,13 +602,14 @@ class SimulatedMarketplace:
                 break
             if consecutive_refusals >= max_refusals:
                 break
-            pos = select(raw_randrange(alive))
+            pos = take(raw_randrange(alive))
             hit, sequence = pending[pos]
             considerations += 1
             hit_id = hit.hit_id
             taken_by = workers_on_hit[hit_id]
             worker = pick_candidate(rng, hit.unit_count, taken_by)
             if worker is None:
+                restore(pos)
                 consecutive_refusals += 1
                 refusals += 1
                 continue
@@ -611,11 +624,11 @@ class SimulatedMarketplace:
             else:
                 accepted = raw_random() < probability
             if not accepted:
+                restore(pos)
                 consecutive_refusals += 1
                 refusals += 1
                 continue
             consecutive_refusals = 0
-            remove(pos)
             alive -= 1
             worker_id = worker.worker_id
             taken_by.add(worker_id)

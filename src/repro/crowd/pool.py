@@ -17,6 +17,20 @@ from typing import Iterable, Sequence
 from repro.crowd.worker import WorkerProfile, make_reliable, make_sloppy, make_spammer
 from repro.util.rng import RandomSource
 
+#: How far, as a fraction of the table total, an exclusion pick's point must
+#: sit from both boundaries of its worker to skip the exact rebuild. The
+#: cached-table arithmetic is off by about ``n`` ulps of the total (about
+#: 3e-14 of it for a 150-worker pool), so this leaves over four orders of
+#: magnitude of slack while the rebuild runs on a few draws in 10^9.
+_BOUNDARY_MARGIN = 1e-9
+
+#: One ``batch_units`` value's candidate table: the non-banned workers in
+#: pool order, their batch-adjusted weights, the cumulative sums of those
+#: weights, the builtin-sum total, and a worker_id -> position map.
+_CandidateTable = tuple[
+    list[WorkerProfile], list[float], list[float], float, dict[str, int]
+]
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -52,15 +66,8 @@ class WorkerPool:
         self._zipf_weights = [
             1.0 / (rank + 1) ** config.zipf_exponent for rank in range(len(self.workers))
         ]
-        # Candidate tables, keyed by batch_units. Each entry holds
-        # the non-banned workers in pool order, their batch-adjusted weights,
-        # the cumulative sums of those weights, the builtin-sum total, and a
-        # worker_id -> position map for applying per-HIT exclusions.
-        # Invalidated by ban().
-        self._candidate_tables: dict[
-            int,
-            tuple[list[WorkerProfile], list[float], list[float], float, dict[str, int]],
-        ] = {}
+        # Candidate tables, keyed by batch_units. Invalidated by ban().
+        self._candidate_tables: dict[int, _CandidateTable] = {}
         # Scratch space for the vectorized dispatch kernel
         # (repro.crowd.vector): numpy mirrors of the candidate tables plus
         # per-worker parameter arrays, keyed by the kernel. Owned here only
@@ -143,35 +150,29 @@ class WorkerPool:
     ) -> WorkerProfile | None:
         """Sample the next worker to *consider* an assignment.
 
-        Returns None when every eligible worker is excluded. The caller then
-        applies :meth:`WorkerProfile.acceptance_probability` to decide
-        whether the candidate actually takes the HIT.
+        Returns None when every eligible worker is excluded; no draw is
+        consumed then. The caller then applies
+        :meth:`WorkerProfile.acceptance_probability` to decide whether the
+        candidate actually takes the HIT.
 
         Consumes exactly one ``random()`` draw. The batch-adjusted weight
-        vector is cached per ``batch_units`` (exclusions are rare and small,
-        so most draws are an O(log n) bisect over a cached cumulative
-        array).
+        vector is cached per ``batch_units``, so an unexcluded draw is an
+        O(log n) bisect over a cached cumulative array. Exclusions are the
+        common case (every assignment after a HIT's first excludes the
+        workers already on it) and are small: see :meth:`_pick_excluding`.
         """
         table = self._candidate_tables.get(batch_units)
         if table is None:
             table = self._candidate_table(batch_units)
         workers, weights, cumulative, total, positions = table
+        if not workers:
+            return None
         if exclude:
             drop = [positions[wid] for wid in exclude if wid in positions]
             if drop:
-                if len(drop) > 1:
-                    drop.sort(reverse=True)
-                workers = workers.copy()
-                weights = weights.copy()
-                for position in drop:
-                    del workers[position]
-                    del weights[position]
-                if not workers:
+                if len(drop) == len(workers):
                     return None
-                cumulative = list(accumulate(weights))
-                total = float(sum(weights))
-        if not workers:
-            return None
+                return self._pick_excluding(rng.raw.random(), table, drop)
         # Inlined weighted_index_cumulative; pool weights are Zipfian and
         # strictly positive, so the positive-sum guard can't trip.
         point = rng.raw.random() * total
@@ -179,9 +180,70 @@ class WorkerPool:
         last = len(cumulative) - 1
         return workers[index if index < last else last]
 
-    def _candidate_table(
-        self, batch_units: int
-    ) -> tuple[list[WorkerProfile], list[float], list[float], float, dict[str, int]]:
+    def _pick_excluding(
+        self,
+        draw: float,
+        table: _CandidateTable,
+        drop: list[int],
+    ) -> WorkerProfile:
+        """The pick of ``draw`` over the table minus positions ``drop``.
+
+        The defining computation is :meth:`_rebuilt_pick`: delete the
+        excluded entries, re-accumulate, and bisect ``draw`` times the
+        builtin-sum total. Here the cached cumulative table answers it in
+        O(log n + |drop|) instead. Between two excluded positions the
+        rebuilt cumulative sum is the cached one minus the excluded mass
+        before the segment, so the walk adds that mass back to the point
+        and bisects one segment. The point and both boundaries of the
+        chosen worker are then within about ``n`` ulps of ``total`` of the
+        rebuilt ones; the answer stands only when the point sits more than
+        ``_BOUNDARY_MARGIN * total`` (far more than that error) from both
+        boundaries, and otherwise the rebuild decides with the same draw.
+        So the result is the rebuild's, draw for draw.
+        """
+        workers, weights, cumulative, total, _ = table
+        if len(drop) > 1:
+            drop.sort()
+        excluded = 0.0
+        for position in drop:
+            excluded += weights[position]
+        point = draw * (total - excluded)
+        offset = 0.0
+        start = 0
+        for stop in drop:
+            if start < stop and cumulative[stop - 1] > point + offset:
+                break
+            offset += weights[stop]
+            start = stop + 1
+        else:
+            stop = len(cumulative)
+            if start >= stop or cumulative[-1] <= point + offset:
+                return self._rebuilt_pick(draw, table, drop)
+        index = bisect_right(cumulative, point + offset, start, stop - 1)
+        margin = total * _BOUNDARY_MARGIN
+        if cumulative[index] - offset - point > margin and (
+            point - (cumulative[index - 1] - offset if index else 0.0) > margin
+        ):
+            return workers[index]
+        return self._rebuilt_pick(draw, table, drop)
+
+    @staticmethod
+    def _rebuilt_pick(
+        draw: float,
+        table: _CandidateTable,
+        drop: list[int],
+    ) -> WorkerProfile:
+        """Pick by rebuilding the table without ``drop`` (sorted positions)."""
+        workers, weights = table[0].copy(), table[1].copy()
+        for position in reversed(drop):
+            del workers[position]
+            del weights[position]
+        cumulative = list(accumulate(weights))
+        index = bisect_right(cumulative, draw * float(sum(weights)))
+        last = len(cumulative) - 1
+        return workers[index if index < last else last]
+
+    def _candidate_table(self, batch_units: int) -> _CandidateTable:
         table = self._candidate_tables.get(batch_units)
         if table is None:
             workers: list[WorkerProfile] = []

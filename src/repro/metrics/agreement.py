@@ -26,7 +26,13 @@ def comparison_kappa(corpus: Mapping[str, Sequence[Vote]]) -> float:
     Each comparison question has two possible winners, so k = 2 regardless
     of which item references appear as labels.
     """
-    return modified_kappa(vote_count_table(corpus), categories=2)
+    return comparison_kappa_from_counts(vote_count_table(corpus))
+
+
+def comparison_kappa_from_counts(rows: Sequence[Mapping[object, int]]) -> float:
+    """:func:`comparison_kappa` over per-question vote counts a caller
+    already took (one :func:`~repro.hits.hit.count_vote_values` each)."""
+    return modified_kappa(rows, categories=2)
 
 
 def comparison_agreement_table(

@@ -10,7 +10,7 @@ times" — but always covers every pair.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 from repro.errors import QurkError
 from repro.util.rng import RandomSource
@@ -142,4 +142,31 @@ def covering_groups(
                     degree[a] -= 1
                     degree[b] -= 1
         groups.append(tuple(group))
+    return groups
+
+
+CoveringDesigns = MutableMapping[
+    tuple[tuple[str, ...], int, int], tuple[tuple[str, ...], ...]
+]
+"""A memo of built designs keyed on ``(items, group_size, seed)``."""
+
+
+def memoized_covering_groups(
+    designs: CoveringDesigns,
+    items: Sequence[str],
+    group_size: int,
+    seed: int = 0,
+) -> tuple[tuple[str, ...], ...]:
+    """:func:`covering_groups` through a caller-owned memo.
+
+    The design is a pure function of its arguments (its tie-break stream
+    is derived from ``seed`` alone), so a repeat is a lookup. The owner
+    scopes the memo: an engine or session holds one beside its shared task
+    cache, so the queries that share answers also share designs, and
+    separate runs never do.
+    """
+    key = (tuple(items), group_size, seed)
+    groups = designs.get(key)
+    if groups is None:
+        groups = designs[key] = tuple(covering_groups(key[0], group_size, seed))
     return groups

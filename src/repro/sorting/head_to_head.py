@@ -27,16 +27,25 @@ def pair_winners_from_votes(
     winning item references. Ties break toward the lexicographically smaller
     item for determinism.
     """
+    return pair_winners_from_counts(
+        {qid: count_vote_values(votes) for qid, votes in corpus.items()}
+    )
+
+
+def pair_winners_from_counts(
+    counts_by_qid: Mapping[str, Mapping[object, int]]
+) -> dict[tuple[str, str], str]:
+    """:func:`pair_winners_from_votes` over per-question vote counts
+    (:func:`~repro.hits.hit.count_vote_values`) a caller already took."""
     winners: dict[tuple[str, str], str] = {}
-    for qid, votes in corpus.items():
-        if not votes:
+    for qid, counts in counts_by_qid.items():
+        if not counts:
             continue
         try:
             pair_part = qid.rsplit(":cmp:", 1)[1]
             a, b = pair_part.split("|", 1)
         except (IndexError, ValueError) as exc:
             raise QurkError(f"malformed comparison qid {qid!r}") from exc
-        counts = count_vote_values(votes)
         top = max(counts.values())
         leaders = sorted(
             [value for value, count in counts.items() if count == top], key=str
